@@ -10,30 +10,27 @@ COVER_FLOOR_controlplane ?= 85.0
 # default make the whole smoke about ten seconds.
 FUZZTIME ?= 1s
 
-.PHONY: check build test vet race chaos bench cover conformance plan recover replay corpus optimize
+.PHONY: check build test vet race chaos bench cover conformance plan recover replay corpus rescale
 
 # The full pre-merge gate: static checks, build, the race-enabled test
 # suite, the backend conformance matrix, coverage floors, plan-output
 # snapshots, crash-recovery drills, the offline-replay self-diff, the
-# golden-corpus regression gate, the cost-model optimizer loop, and a
+# golden-corpus regression gate, the elastic-rescale drills, and a
 # short fuzz round of every fuzz target.
-check: vet build race conformance cover plan recover replay corpus optimize
+check: vet build race conformance cover plan recover replay corpus rescale
 
-# Golden snapshots of `sbrun -explain` (and `-explain -optimize`) for
-# the example workflows. The plan rendering is a user-facing contract;
-# refresh intentionally with:
-#   go test ./internal/workflow -run 'TestPlanGolden|TestPlanOptimizedGolden' -update
+# Golden snapshots of `sbrun -explain` for the example workflows. The
+# plan rendering is a user-facing contract; refresh intentionally with:
+#   go test ./internal/workflow -run TestPlanGolden -update
 plan:
-	$(GO) test ./internal/workflow -run 'TestPlanGolden|TestPlanOptimizedGolden' -count=1
+	$(GO) test ./internal/workflow -run TestPlanGolden -count=1
 
-# The cost-model optimizer loop under the race detector: the planner's
-# knee/fusion/transport decisions, the elastic-rescale drill (lagging
-# stage re-scaled at a step boundary, exactly-once proven from spans),
-# the what-if predicted-vs-measured rank-order agreement, and the
-# record -> profile -> optimize -> byte-identical re-run end-to-end.
-optimize:
-	$(GO) test -race -count=1 ./internal/workflow -run 'TestPlanner|TestElasticRescale|TestRescale|TestStageCtl|TestExplainOptimized'
-	$(GO) test -race -count=1 ./internal/replay -run 'TestReplayProfile|TestWhatIf|TestOptimizeEndToEnd' -v
+# The elastic-rescale drills under the race detector: a lagging stage
+# re-scaled at a step boundary (exactly-once proven from spans, output
+# identical to an unrescaled run), the policy defaults, and the
+# per-stage control handshake.
+rescale:
+	$(GO) test -race -count=1 ./internal/workflow -run 'TestElasticRescale|TestRescale|TestStageCtl'
 
 # The transport contract suite under the race detector, once per stream
 # fabric backend. A backend that silently skips is a gate failure —
@@ -89,9 +86,10 @@ cover:
 # The offline-replay drills under the race detector: record a fixture
 # workflow, replay it bit-identically, and A/B self-diff a component
 # over the recording expecting zero divergences — determinism of the
-# replay path itself, proven on every gate.
+# replay path itself, proven on every gate — plus a rank-count rewrite
+# of the recorded pipeline, offline and live, matching byte for byte.
 replay:
-	$(GO) test -race -count=1 ./internal/replay -run 'TestReplayBitIdentical|TestDiffSelfIsClean|TestDiffPerturbedScale' -v
+	$(GO) test -race -count=1 ./internal/replay -run 'TestReplayBitIdentical|TestDiffSelfIsClean|TestDiffPerturbedScale|TestOptimizeEndToEnd' -v
 
 # The golden-corpus regression gate: replay the checked-in crack
 # workflow recording (internal/replay/testdata/corpus) against HEAD

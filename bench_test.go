@@ -243,21 +243,6 @@ func BenchmarkAblationPartitionAxis(b *testing.B) {
 	b.ReportMetric(rows[1].Elapsed.Seconds(), "longest-axis-s")
 }
 
-func BenchmarkAblationPlanner(b *testing.B) {
-	b.ReportAllocs()
-	particles := int(20000 * sizeFactor())
-	var rows []bench.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.RunPlannerAblation(context.Background(), particles, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Elapsed.Seconds(), "scripted-s")
-	b.ReportMetric(rows[1].Elapsed.Seconds(), "optimized-s")
-}
-
 func BenchmarkAblationTransport(b *testing.B) {
 	b.ReportAllocs()
 	atoms := int(50000 * sizeFactor())

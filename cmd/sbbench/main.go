@@ -116,12 +116,6 @@ func main() {
 			return err
 		}
 		fmt.Println(bench.FormatAblation("Ablation 4: stream fabric backend (inproc vs TCP vs Unix socket vs shm ring, GROMACS pipeline)", tr))
-
-		pl, err := bench.RunPlannerAblation(ctx, particles, 6)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatAblation("Ablation 5: cost-planner plan rewrite (scripted vs optimized, LAMMPS pipeline)", pl))
 		return nil
 	})
 

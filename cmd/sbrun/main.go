@@ -1,7 +1,7 @@
 // Command sbrun launches a complete SmartBlock workflow from an
 // aprun-style job script (the paper's Fig. 8 format):
 //
-//	sbrun [-v] [-explain] [-fuse] [-transport inproc|tcp|uds|shm|auto] [-broker addr] [-log-dir DIR] [-max-restarts N] [-step-timeout D] [-trace out.jsonl] [-profile-out prof.json] [-optimize prof.json] [-rescale] workflow.sh
+//	sbrun [-v] [-explain] [-fuse] [-transport inproc|tcp|uds|shm|auto] [-broker addr] [-log-dir DIR] [-max-restarts N] [-step-timeout D] [-trace out.jsonl] [-rescale] workflow.sh
 //
 // Every aprun line becomes a component stage; all stages launch
 // simultaneously and rendezvous on their stream names. -transport (or a
@@ -45,7 +45,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/flexpath"
 	"repro/internal/launch"
 	"repro/internal/obs"
@@ -71,8 +70,6 @@ func main() {
 	stepTimeout := flag.Duration("step-timeout", 0, "bound on every blocking stream operation per stage (0 disables)")
 	tracePath := flag.String("trace", "", "write per-step spans from every layer to this JSONL file")
 	traceRing := flag.Int("trace-ring", 0, "span ring capacity for -trace (0 = default 65536; oldest spans drop beyond it)")
-	optimizePath := flag.String("optimize", "", "rewrite the plan with the cost planner against this profile JSON (from -profile-out or sbreplay -profile-out) before launching; with -explain, print the decision log instead of running")
-	profileOut := flag.String("profile-out", "", "distill this run into a cost profile JSON at the given path (feeds a later -optimize)")
 	rescale := flag.Bool("rescale", false, "enable the elastic-rescale monitor: a stage lagging the workflow leader is re-scaled at a step boundary")
 	rescaleMax := flag.Int("rescale-max", 0, "rank-count ceiling for -rescale growth (0 = default 8)")
 	flag.Usage = func() {
@@ -114,29 +111,8 @@ func main() {
 		log.Fatalf("sbrun: %v", err)
 	}
 
-	// Cost-model plan optimization: the planner rewrites rank counts,
-	// fusion, and per-edge transports against a measured profile, and the
-	// rewritten plan replaces the scripted one for everything downstream
-	// (explain, lint, fusion, launch).
-	var optimized *workflow.OptimizedPlan
-	if *optimizePath != "" {
-		prof, err := cost.Load(*optimizePath)
-		if err != nil {
-			log.Fatalf("sbrun: %v", err)
-		}
-		optimized, err = (workflow.CostPlanner{}).Optimize(plan, prof)
-		if err != nil {
-			log.Fatalf("sbrun: %v", err)
-		}
-		plan = optimized.Plan
-		spec = optimized.Plan.Spec
-	}
 	if *explain {
-		if optimized != nil {
-			fmt.Print(plan.ExplainOptimized(optimized))
-		} else {
-			fmt.Print(plan.Explain())
-		}
+		fmt.Print(plan.Explain())
 		return
 	}
 
@@ -242,8 +218,7 @@ func main() {
 		opts.Logf = log.Printf
 	}
 	var tracer *obs.Tracer
-	if *tracePath != "" || *profileOut != "" {
-		// -profile-out needs the same span seams -trace records.
+	if *tracePath != "" {
 		tracer = obs.NewTracer(*traceRing)
 		opts.Tracer = tracer
 		opts.Registry = obs.Default()
@@ -269,16 +244,11 @@ func main() {
 	if res != nil {
 		fmt.Print(workflow.Report(res))
 	}
-	if tracer != nil && *tracePath != "" {
+	if tracer != nil {
 		if werr := writeTrace(*tracePath, tracer); werr != nil {
 			log.Printf("sbrun: writing trace: %v", werr)
 		} else if dropped := tracer.Dropped(); dropped > 0 {
 			log.Printf("sbrun: trace ring overflowed; oldest %d spans dropped (raise -trace-ring)", dropped)
-		}
-	}
-	if *profileOut != "" {
-		if perr := saveProfile(*profileOut, flag.Arg(0), tracer, opts.Registry, spec, kind); perr != nil {
-			log.Printf("sbrun: writing profile: %v", perr)
 		}
 	}
 	if err != nil {
@@ -318,33 +288,6 @@ func routeEdges(base flexpath.Transport, resolved workflow.TransportSpec,
 		router.Routes[stream] = t
 	}
 	return router, nil
-}
-
-// saveProfile distills the finished run's spans and registry counters
-// into a cost profile and writes it as JSON — the input of a later
-// `sbrun -optimize` or `sbreplay -whatif`. Stages without a span seam
-// (reduce endpoints) are synthesized from registry counters alone.
-func saveProfile(path, script string, tracer *obs.Tracer, reg *obs.Registry,
-	spec workflow.Spec, kind string) error {
-	prof := cost.FromSpans(tracer.Spans())
-	snap := reg.Snapshot()
-	prof.ApplyRegistry(snap)
-	for _, st := range spec.Stages {
-		name := st.Component
-		if name == "" && st.Instance != nil {
-			name = st.Instance.Name()
-		}
-		if name == "" || prof.Stages[name] != nil {
-			continue
-		}
-		if synth := cost.SynthesizeStage(name, st.Procs, snap); synth != nil {
-			prof.Stages[name] = synth
-		}
-	}
-	prof.Workflow = spec.Name
-	prof.Transport = kind
-	prof.Meta = map[string]string{"source": "sbrun -profile-out " + script}
-	return prof.Save(path)
 }
 
 // writeTrace dumps the tracer's ring as JSONL, one span per line in

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/components"
-	"repro/internal/cost"
 	"repro/internal/flexpath"
-	"repro/internal/obs"
 	"repro/internal/sb"
 	"repro/internal/workflow"
 )
@@ -206,82 +204,6 @@ func RunPartitionPolicyAblation(ctx context.Context, slices, points, steps int) 
 		rows = append(rows, AblationRow{Config: p.name, Elapsed: res.Elapsed})
 	}
 	return rows, nil
-}
-
-// RunPlannerAblation measures what the cost planner's rewrite buys:
-// the Fig. 8 pipeline as scripted (the paper's hand-chosen rank
-// counts), against the same pipeline re-planned by the cost model from
-// a profile measured on a live profiling run — rank knees, fusion, and
-// all. Three runs total: profile, default, optimized.
-func RunPlannerAblation(ctx context.Context, particles, steps int) ([]AblationRow, error) {
-	// Profiling run: the scripted spec under a tracer/registry, spans
-	// and counters distilled exactly as `sbrun -profile-out` does.
-	profSpec, err := lammpsPipelineSpec(particles, steps, 0)
-	if err != nil {
-		return nil, err
-	}
-	tracer := obs.NewTracer(0)
-	reg := obs.NewRegistry()
-	broker := flexpath.NewBroker()
-	broker.SetObserver(tracer, reg)
-	if _, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: broker}}, profSpec,
-		workflow.Options{Tracer: tracer, Registry: reg}); err != nil {
-		return nil, fmt.Errorf("bench: planner profiling run: %w", err)
-	}
-	prof := cost.FromSpans(tracer.Spans())
-	snap := reg.Snapshot()
-	prof.ApplyRegistry(snap)
-	for _, st := range profSpec.Stages {
-		name := st.Component
-		if name == "" && st.Instance != nil {
-			name = st.Instance.Name()
-		}
-		if prof.Stages[name] != nil {
-			continue
-		}
-		if synth := cost.SynthesizeStage(name, st.Procs, snap); synth != nil {
-			prof.Stages[name] = synth
-		}
-	}
-
-	defSpec, err := lammpsPipelineSpec(particles, steps, 0)
-	if err != nil {
-		return nil, err
-	}
-	defRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, defSpec, workflow.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("bench: planner default run: %w", err)
-	}
-
-	optSpec, err := lammpsPipelineSpec(particles, steps, 0)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := workflow.BuildPlan(optSpec)
-	if err != nil {
-		return nil, err
-	}
-	op, err := (workflow.CostPlanner{}).Optimize(plan, prof)
-	if err != nil {
-		return nil, fmt.Errorf("bench: planner optimize: %w", err)
-	}
-	spec := op.Plan.Spec
-	if spec.Fuse {
-		// Run does not apply the fusion pass itself; do what sbrun does.
-		fused, err := op.Plan.Fuse()
-		if err != nil {
-			return nil, fmt.Errorf("bench: planner fuse: %w", err)
-		}
-		spec = fused.Spec
-	}
-	optRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("bench: planner optimized run: %w", err)
-	}
-	return []AblationRow{
-		{Config: "scripted plan (paper's rank counts)", Elapsed: defRes.Elapsed},
-		{Config: "cost-planner optimized plan", Elapsed: optRes.Elapsed},
-	}, nil
 }
 
 // RunTransportAblation runs the same GROMACS magnitude workflow over

@@ -189,19 +189,6 @@ func TestPartitionPolicyAblation(t *testing.T) {
 	}
 }
 
-func TestPlannerAblation(t *testing.T) {
-	rows, err := RunPlannerAblation(ctxT(t), 2000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Elapsed <= 0 || rows[1].Elapsed <= 0 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if !strings.Contains(rows[1].Config, "optimized") {
-		t.Fatalf("rows = %+v", rows)
-	}
-}
-
 func TestTransportAblation(t *testing.T) {
 	rows, err := RunTransportAblation(ctxT(t), 2000, 3)
 	if err != nil {

@@ -215,6 +215,7 @@ type brokerObs struct {
 	bytesFetch  *obs.Counter  // payload bytes served
 	hbMisses    *obs.Counter  // writer lease expiries (TCP server only)
 	logReplayed *obs.Counter  // historical steps served from the log
+	logDegraded *obs.Counter  // streams degraded to memory-only by a log error
 	queuedSteps *obs.Gauge    // buffered, unretired timesteps, all streams
 	tenant      map[string]*tenantObs // tenant-tagged counters, lazily cached
 }
@@ -242,6 +243,7 @@ func (b *Broker) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 		b.obs.bytesFetch = reg.Counter("fabric.bytes_fetched")
 		b.obs.hbMisses = reg.Counter("fabric.heartbeat_misses")
 		b.obs.logReplayed = reg.Counter("log.replayed_steps")
+		b.obs.logDegraded = reg.Counter("log.degraded_streams")
 		b.obs.queuedSteps = reg.Gauge("fabric.queued_steps")
 	}
 	b.registerLogMetricsLocked()

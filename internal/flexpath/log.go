@@ -37,8 +37,9 @@ import (
 // Disk failure policy: the first append error marks the stream
 // logBroken, releases the queue, and drops the durability gate. The
 // stream degrades to the pre-log, memory-only behavior instead of
-// wedging a live workflow on a dead disk; the failure is visible as a
-// log.append span carrying the error.
+// wedging a live workflow on a dead disk; the failure is counted in
+// the log.degraded_streams registry counter and, under tracing, emitted
+// as a log.append span carrying the error.
 
 // logJob kinds.
 const (
@@ -233,6 +234,9 @@ func (b *Broker) runLogAppender(s *stream) {
 // retirement resumes so the live workflow keeps flowing. Caller holds
 // b.mu.
 func (b *Broker) logFailLocked(s *stream, err error) {
+	if !s.logBroken {
+		b.obs.logDegraded.Inc()
+	}
 	s.logBroken = true
 	s.logBusy = false
 	for _, job := range s.logQueue {

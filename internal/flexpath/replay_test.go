@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/flexpath"
+	"repro/internal/obs"
 	"repro/internal/streamlog"
 )
 
@@ -214,6 +215,69 @@ func TestRecoverRequiresLog(t *testing.T) {
 	b.AttachLog(openStoreTemp(t))
 	if _, err := b.OpenReaderFrom("nope", -1); err == nil {
 		t.Fatal("OpenReaderFrom at negative step succeeded")
+	}
+}
+
+// An append error on a live durable stream degrades it to memory-only
+// without wedging the workflow — and says so: log.degraded_streams
+// counts the stream once, tracing or not. The queue depth of 2 means a
+// stream whose durability gate stayed up would block the writer by the
+// fourth step.
+func TestLogAppendErrorDegradesStream(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	store := openStoreTemp(t)
+	reg := obs.NewRegistry()
+	b := flexpath.NewBroker()
+	b.SetObserver(nil, reg)
+	b.AttachLog(store)
+	w, err := b.AttachWriter("degrade", 0, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := b.AttachReader("degrade", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	lg, err := store.Log("degrade")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 8
+	for s := 0; s < steps; s++ {
+		if err := w.PublishBlock(ctx, s, nil, []byte{byte(s)}); err != nil {
+			t.Fatalf("publish step %d: %v", s, err)
+		}
+		if s == 0 {
+			// Step 0 is durable; every append after it fails.
+			waitLogged(t, store, "degrade", 1)
+			if err := lg.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := r.FetchBlock(ctx, s, 0)
+		if err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+		if len(p) != 1 || p[0] != byte(s) {
+			t.Fatalf("step %d payload = %v", s, p)
+		}
+		if err := r.ReleaseStep(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.StepMeta(ctx, steps); !errors.Is(err, io.EOF) {
+		t.Fatalf("past end = %v, want EOF", err)
+	}
+	if got := reg.Snapshot()["log.degraded_streams"]; got != 1 {
+		t.Fatalf("log.degraded_streams = %d, want 1", got)
+	}
+	if got := lg.NextStep(); got != 1 {
+		t.Fatalf("log holds steps up to %d after degrading, want 1", got)
 	}
 }
 

