@@ -63,7 +63,7 @@ func main() {
 	}
 
 	res, err := workflow.Run(context.Background(),
-		sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+		sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, spec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

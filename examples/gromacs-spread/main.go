@@ -52,7 +52,7 @@ func main() {
 		},
 	}
 	res, err := workflow.Run(context.Background(),
-		sb.BrokerTransport{Broker: flexpath.NewBroker()}, liveSpec, workflow.Options{})
+		sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, liveSpec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func main() {
 		},
 	}
 	res, err = workflow.Run(context.Background(),
-		sb.BrokerTransport{Broker: flexpath.NewBroker()}, replaySpec, workflow.Options{})
+		sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, replaySpec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	transport := sb.BrokerTransport{Broker: flexpath.NewBroker()}
+	transport := sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}
 	res, err := workflow.Run(context.Background(), transport, spec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)

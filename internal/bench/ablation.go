@@ -64,7 +64,7 @@ func RunQueueDepthAblation(ctx context.Context, particles, steps int, depths []i
 		if err != nil {
 			return nil, err
 		}
-		res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+		res, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, spec, workflow.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: queue depth %d: %w", d, err)
 		}
@@ -85,7 +85,7 @@ func RunFusionAblation(ctx context.Context, particles, steps int) ([]AblationRow
 	if err != nil {
 		return nil, err
 	}
-	pipeRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+	pipeRes, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, spec, workflow.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: fusion pipeline: %w", err)
 	}
@@ -102,7 +102,7 @@ func RunFusionAblation(ctx context.Context, particles, steps int) ([]AblationRow
 	if err != nil {
 		return nil, fmt.Errorf("bench: fusion plan: %w", err)
 	}
-	planRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, fusedSpec.Spec, workflow.Options{})
+	planRes, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, fusedSpec.Spec, workflow.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: fusion plan-fused: %w", err)
 	}
@@ -111,7 +111,7 @@ func RunFusionAblation(ctx context.Context, particles, steps int) ([]AblationRow
 	if err != nil {
 		return nil, err
 	}
-	fusedRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, workflow.Spec{
+	fusedRes, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, workflow.Spec{
 		Name: "lammps-fused",
 		Stages: []workflow.Stage{
 			{Component: "lammps", Args: simArgs, Procs: 4},
@@ -153,7 +153,7 @@ func RunPipelineOnce(ctx context.Context, particles, steps int, fuse bool) (time
 		}
 		spec = fused.Spec
 	}
-	res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+	res, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, spec, workflow.Options{})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -197,7 +197,7 @@ func RunPartitionPolicyAblation(ctx context.Context, slices, points, steps int) 
 				{Instance: hist, Procs: 1},
 			},
 		}
-		res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+		res, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, spec, workflow.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: partition policy %q: %w", p.name, err)
 		}
@@ -208,8 +208,8 @@ func RunPartitionPolicyAblation(ctx context.Context, slices, points, steps int) 
 
 // RunTransportAblation runs the same GROMACS magnitude workflow over
 // every stream fabric backend — in-process broker, TCP loopback broker,
-// Unix-socket broker — quantifying the cost of crossing a socket per
-// exchange and what the uds coalesced publish path buys back.
+// Unix-socket broker, shared-memory ring — quantifying the cost of
+// crossing a socket per exchange.
 func RunTransportAblation(ctx context.Context, atoms, steps int) ([]AblationRow, error) {
 	build := func() (workflow.Spec, error) {
 		hist, err := components.NewHistogram([]string{"dist.fp", "radii", "16"})

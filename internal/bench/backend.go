@@ -35,8 +35,8 @@ func TCPLoopbackBackend() (sb.Transport, func(), error) {
 }
 
 // UDSBackend serves a private broker on a Unix-domain socket — same
-// frame codec as TCP, but with the coalesced (one writev per step)
-// publish path and no TCP loopback stack.
+// frame codec and gathered (one writev per step) publish path as TCP,
+// but no TCP loopback stack.
 func UDSBackend() (sb.Transport, func(), error) {
 	dir, err := os.MkdirTemp("", "sbbench-uds")
 	if err != nil {

@@ -136,7 +136,7 @@ func RunGTCPWeak(ctx context.Context, scales []GTCPScale) ([]GTCPWeakResult, err
 		if err != nil {
 			return nil, err
 		}
-		transport := sb.BrokerTransport{Broker: flexpath.NewBroker()}
+		transport := sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}
 		res, err := workflow.Run(ctx, transport, gtcpSpec(s, hist.(*components.Histogram)), workflow.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: table1 %s: %w", s.Name, err)

@@ -132,7 +132,7 @@ func RunAIOComparisonRepeated(ctx context.Context, scales []AIOScale, repeats in
 			if err != nil {
 				return nil, err
 			}
-			res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, workflow.Spec{
+			res, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, workflow.Spec{
 				Name: "aio-" + s.Name,
 				Stages: []workflow.Stage{
 					{Component: "lammps", Args: simArgs, Procs: s.SimProcs},
@@ -154,7 +154,7 @@ func RunAIOComparisonRepeated(ctx context.Context, scales []AIOScale, repeats in
 			if err != nil {
 				return nil, err
 			}
-			res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, workflow.Spec{
+			res, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, workflow.Spec{
 				Name: "sb-" + s.Name,
 				Stages: []workflow.Stage{
 					{Component: "lammps", Args: simArgs, Procs: s.SimProcs},
@@ -202,7 +202,7 @@ func RunAIOComparisonRepeated(ctx context.Context, scales []AIOScale, repeats in
 			if err != nil {
 				return nil, fmt.Errorf("bench: table2 fused %s: %w", s.Name, err)
 			}
-			res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, fused.Spec, workflow.Options{})
+			res, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, fused.Spec, workflow.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("bench: table2 fused %s: %w", s.Name, err)
 			}
@@ -218,7 +218,7 @@ func RunAIOComparisonRepeated(ctx context.Context, scales []AIOScale, repeats in
 		// (c) Simulation only, output routines removed.
 		onlyArgs := append([]string{"-"}, simArgs[1:]...)
 		for rep := 0; rep < repeats; rep++ {
-			res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, workflow.Spec{
+			res, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, workflow.Spec{
 				Name: "only-" + s.Name,
 				Stages: []workflow.Stage{
 					{Component: "lammps", Args: onlyArgs, Procs: s.SimProcs},

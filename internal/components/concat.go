@@ -1,12 +1,14 @@
 package components
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"time"
 
+	"repro/internal/adios"
 	"repro/internal/ndarray"
 	"repro/internal/sb"
 )
@@ -55,21 +57,13 @@ func NewConcat(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (c *Concat) Name() string { return "concat" }
 
-// InputStreams implements workflow.StreamDeclarer.
-func (c *Concat) InputStreams() []string { return []string{c.InStream1, c.InStream2} }
-
-// OutputStreams implements workflow.StreamDeclarer.
-func (c *Concat) OutputStreams() []string { return []string{c.OutStream} }
-
 // Run implements sb.Component. Each rank partitions both inputs along
 // the same non-concat axis, joins its two local blocks along the concat
 // axis, and publishes the joined block: the output box equals the
 // partition box with the concat extent widened to the sum of the inputs.
 func (c *Concat) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	env.Metrics.MarkStarted()
+	defer env.Metrics.MarkFinished()
 	r1, err := env.OpenReader(c.InStream1)
 	if err != nil {
 		return fmt.Errorf("concat: attaching reader to %q: %w", c.InStream1, err)
@@ -86,8 +80,20 @@ func (c *Concat) Run(env *sb.Env) error {
 	}
 	defer w.Close()
 
+	// Each reader resumes where its group left off as of its own attach,
+	// so after a restart one input can lag the other. This rank already
+	// joined and published the lagging input's steps below the other's
+	// resume point: release them unread.
+	if err := skipTo(env.Ctx(), r1, r2.NextStep()); err != nil {
+		return fmt.Errorf("concat: resuming %q: %w", c.InStream1, err)
+	}
+	if err := skipTo(env.Ctx(), r2, r1.NextStep()); err != nil {
+		return fmt.Errorf("concat: resuming %q: %w", c.InStream2, err)
+	}
+
 	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; ; step++ {
+	for {
+		step := r1.NextStep() // absolute: a re-attached reader resumes mid-stream
 		info1, err1 := r1.BeginStep(env.Ctx())
 		if errors.Is(err1, io.EOF) {
 			// Drain the other stream's step if it still has one, then end.
@@ -163,19 +169,23 @@ func (c *Concat) Run(env *sb.Env) error {
 		outBox := box.Clone()
 		outBox.Counts[c.Axis] = outDims[c.Axis].Size
 
-		if err := w.BeginStep(); err != nil {
-			return err
-		}
-		for k, val := range info1.Attrs {
-			if err := w.SetAttribute(k, val); err != nil {
+		// A restart between the publish and the input releases leaves the
+		// resumed writer already holding this step.
+		if w.Steps() <= step {
+			if err := w.BeginStep(); err != nil {
 				return err
 			}
-		}
-		if err := w.Write(c.OutArray, outDims, outBox, joined.Data()); err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
-		}
-		if err := w.EndStep(env.Ctx()); err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
+			for k, val := range info1.Attrs {
+				if err := w.SetAttribute(k, val); err != nil {
+					return err
+				}
+			}
+			if err := w.Write(c.OutArray, outDims, outBox, joined.Data()); err != nil {
+				return fmt.Errorf("concat: step %d: %w", step, err)
+			}
+			if err := w.EndStep(env.Ctx()); err != nil {
+				return fmt.Errorf("concat: step %d: %w", step, err)
+			}
 		}
 		if err := r1.EndStep(); err != nil {
 			return err
@@ -183,11 +193,25 @@ func (c *Concat) Run(env *sb.Env) error {
 		if err := r2.EndStep(); err != nil {
 			return err
 		}
-		if env.Metrics != nil {
-			in := int64((b1.Size() + b2.Size()) * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), in, int64(joined.Size()*8))
+		in := int64((b1.Size() + b2.Size()) * 8)
+		env.Metrics.RecordStep(step, time.Since(begin), in, int64(joined.Size()*8))
+	}
+}
+
+// skipTo releases r's steps below step without reading their data. An
+// input that ends first is left for the step loop to see.
+func skipTo(ctx context.Context, r *adios.Reader, step int) error {
+	for r.NextStep() < step {
+		if _, err := r.BeginStep(ctx); errors.Is(err, io.EOF) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		if err := r.EndStep(); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 func init() { Register("concat", NewConcat) }

@@ -45,10 +45,8 @@ func (f *Fork) Name() string { return "fork" }
 
 // Run implements sb.Component.
 func (f *Fork) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	env.Metrics.MarkStarted()
+	defer env.Metrics.MarkFinished()
 	r, err := env.OpenReader(f.InStream)
 	if err != nil {
 		return fmt.Errorf("fork: attaching reader to %q: %w", f.InStream, err)
@@ -64,7 +62,8 @@ func (f *Fork) Run(env *sb.Env) error {
 		writers[i] = w
 	}
 	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; ; step++ {
+	for {
+		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
 		info, err := r.BeginStep(env.Ctx())
 		if errors.Is(err, io.EOF) {
 			return nil
@@ -87,6 +86,11 @@ func (f *Fork) Run(env *sb.Env) error {
 			return fmt.Errorf("fork: step %d: %w", step, err)
 		}
 		for wi, w := range writers {
+			if w.Steps() > step {
+				// A restart between this output's publish and the input
+				// release: the resumed writer already has the step.
+				continue
+			}
 			if err := w.BeginStep(); err != nil {
 				return fmt.Errorf("fork: step %d out %d: %w", step, wi, err)
 			}
@@ -105,10 +109,8 @@ func (f *Fork) Run(env *sb.Env) error {
 		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("fork: step %d: %w", step, err)
 		}
-		if env.Metrics != nil {
-			n := int64(block.Size() * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), n, n*int64(len(writers)))
-		}
+		n := int64(block.Size() * 8)
+		env.Metrics.RecordStep(step, time.Since(begin), n, n*int64(len(writers)))
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // concurrently over one broker, failing the test on any error.
 type harness struct {
 	t         *testing.T
-	transport sb.BrokerTransport
+	transport sb.Fabric
 	wg        sync.WaitGroup
 	errs      chan error
 }
@@ -31,7 +31,7 @@ type harness struct {
 func newHarness(t *testing.T) *harness {
 	return &harness{
 		t:         t,
-		transport: sb.BrokerTransport{Broker: flexpath.NewBroker()},
+		transport: sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}},
 		errs:      make(chan error, 32),
 	}
 }
@@ -543,7 +543,7 @@ func TestFileReaderEmptyDir(t *testing.T) {
 	c, _ := New("file-reader", []string{t.TempDir(), "x.fp"})
 	broker := flexpath.NewBroker()
 	err := mpi.Run(1, func(comm *mpi.Comm) error {
-		return c.Run(&sb.Env{Comm: comm, Transport: sb.BrokerTransport{Broker: broker}})
+		return c.Run(&sb.Env{Comm: comm, Transport: sb.Fabric{T: flexpath.InProc{B: broker}}})
 	})
 	if err == nil {
 		t.Fatal("file-reader on empty dir succeeded")

@@ -8,8 +8,7 @@ import "repro/internal/sb"
 // workflow planner derives dataflow edges from these declarations; the
 // array names are what let the fusion pass check that two adjacent
 // kernels hand the same variable to each other, not merely meet on a
-// stream. (The coarser StreamDeclarer contract in streams.go remains for
-// third-party components that only know their stream names.)
+// stream.
 
 // Ports implements sb.PortDeclarer.
 func (s *Select) Ports() []sb.Port {

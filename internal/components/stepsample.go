@@ -49,22 +49,14 @@ func NewStepSample(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (s *StepSample) Name() string { return "step-sample" }
 
-// InputStreams implements workflow.StreamDeclarer.
-func (s *StepSample) InputStreams() []string { return []string{s.InStream} }
-
-// OutputStreams implements workflow.StreamDeclarer.
-func (s *StepSample) OutputStreams() []string { return []string{s.OutStream} }
-
 // Run implements sb.Component. StepSample cannot use RunMap (it skips
 // publishing for dropped steps), so it carries its own loop: kept steps
 // are read, re-partitioned and republished; dropped steps are released
 // without fetching their payload, which is the point — the transport
 // retires them with no data movement beyond metadata.
 func (s *StepSample) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	env.Metrics.MarkStarted()
+	defer env.Metrics.MarkFinished()
 	r, err := env.OpenReader(s.InStream)
 	if err != nil {
 		return fmt.Errorf("step-sample: attaching reader to %q: %w", s.InStream, err)
@@ -77,7 +69,8 @@ func (s *StepSample) Run(env *sb.Env) error {
 	defer w.Close()
 
 	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; ; step++ {
+	for {
+		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
 		info, err := r.BeginStep(env.Ctx())
 		if errors.Is(err, io.EOF) {
 			return nil
@@ -85,8 +78,9 @@ func (s *StepSample) Run(env *sb.Env) error {
 		if err != nil {
 			return fmt.Errorf("step-sample: step %d: %w", step, err)
 		}
-		if step%s.Stride != 0 {
-			// Dropped step: release without reading any block data.
+		if step%s.Stride != 0 || w.Steps() > step/s.Stride {
+			// Dropped step, or a kept one the resumed writer already
+			// published: release without reading any block data.
 			if err := r.EndStep(); err != nil {
 				return fmt.Errorf("step-sample: step %d: %w", step, err)
 			}
@@ -123,10 +117,8 @@ func (s *StepSample) Run(env *sb.Env) error {
 		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("step-sample: step %d: %w", step, err)
 		}
-		if env.Metrics != nil {
-			n := int64(block.Size() * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), n, n)
-		}
+		n := int64(block.Size() * 8)
+		env.Metrics.RecordStep(step, time.Since(begin), n, n)
 	}
 }
 

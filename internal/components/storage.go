@@ -52,10 +52,8 @@ func (f *FileWriter) Name() string { return "file-writer" }
 // Run implements sb.Component: each rank persists its own partition of
 // every step, preserving the self-describing metadata.
 func (f *FileWriter) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	env.Metrics.MarkStarted()
+	defer env.Metrics.MarkFinished()
 	if env.Comm.Rank() == 0 {
 		if err := os.MkdirAll(f.Dir, 0o755); err != nil {
 			return fmt.Errorf("file-writer: %w", err)
@@ -104,10 +102,8 @@ func (f *FileWriter) Run(env *sb.Env) error {
 		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("file-writer: step %d: %w", step, err)
 		}
-		if env.Metrics != nil {
-			n := int64(block.Size() * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), n, n)
-		}
+		n := int64(block.Size() * 8)
+		env.Metrics.RecordStep(step, time.Since(begin), n, n)
 	}
 }
 
@@ -134,10 +130,8 @@ func (f *FileReader) Name() string { return "file-reader" }
 // its own partition — so the replaying group's size is independent of the
 // persisting group's.
 func (f *FileReader) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	env.Metrics.MarkStarted()
+	defer env.Metrics.MarkFinished()
 	steps, err := listStepFiles(f.Dir)
 	if err != nil {
 		return fmt.Errorf("file-reader: %w", err)
@@ -177,10 +171,8 @@ func (f *FileReader) Run(env *sb.Env) error {
 		if err := w.EndStep(env.Ctx()); err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
-		if env.Metrics != nil {
-			n := int64(block.Size() * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), n, n)
-		}
+		n := int64(block.Size() * 8)
+		env.Metrics.RecordStep(step, time.Since(begin), n, n)
 	}
 	return nil
 }

@@ -20,7 +20,7 @@ func ctxT(t *testing.T) context.Context {
 }
 
 func fresh(plan Plan) *Transport {
-	return New(sb.BrokerTransport{Broker: flexpath.NewBroker()}, plan)
+	return New(sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, plan)
 }
 
 // errPattern drives a fixed op sequence through a faulty transport and
@@ -87,7 +87,7 @@ func TestReattachAdvancesGeneration(t *testing.T) {
 	tr := fresh(plan)
 	ctx := ctxT(t)
 	attempt := func() []bool {
-		w, err := tr.Inner.(sb.BrokerTransport).Broker.AttachWriter("gen.fp", 0, 1, 100)
+		w, err := tr.Inner.(sb.Fabric).T.(flexpath.InProc).B.AttachWriter("gen.fp", 0, 1, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestOpsFilter(t *testing.T) {
 
 func TestCrashPointFailsStream(t *testing.T) {
 	broker := flexpath.NewBroker()
-	tr := New(sb.BrokerTransport{Broker: broker}, Plan{
+	tr := New(sb.Fabric{T: flexpath.InProc{B: broker}}, Plan{
 		Seed:  9,
 		Crash: &CrashPoint{Stream: "boom.fp", Rank: 0, Step: 2},
 	})

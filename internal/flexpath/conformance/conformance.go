@@ -661,7 +661,8 @@ func checkWriterDetachResume(t *testing.T, be Backend) {
 
 // A detached reader rank keeps gating retirement, so a restart cannot
 // lose buffered steps; NextStep is the group minimum, realigning a
-// restarted collective group on a common step.
+// restarted collective group on a common step, and a re-attached rank
+// gates again every step from there that it re-reads.
 func checkReaderDetachResumeGroupMin(t *testing.T, be Backend) {
 	ctx := ctxT(t)
 	w, err := be.Transport.AttachWriter("c.rdetach", 0, 1, 8)
@@ -715,15 +716,22 @@ func checkReaderDetachResumeGroupMin(t *testing.T, be Backend) {
 	if got := n1.NextStep(); got != 1 {
 		t.Fatalf("rank 1 NextStep = %d, want 1 (group min, not its own 2)", got)
 	}
-	// Step 1 must still be buffered — rank 0 never released it, and its
-	// detach did not stop gating retirement.
-	if _, err := n1.StepMeta(ctx, 1); err != nil {
-		t.Fatalf("buffered step lost across detach: %v", err)
+	// Rank 0's new attempt releases step 1 first. Rank 1 released step 1
+	// in its previous attempt but resumes below it, so its re-attach must
+	// gate the step again: it may not retire before rank 1 re-reads it.
+	if err := n0.ReleaseStep(1); err != nil {
+		t.Fatal(err)
 	}
-	// Re-releasing an already-released step is a harmless no-op.
+	if _, err := n1.StepMeta(ctx, 1); err != nil {
+		t.Fatalf("step retired before the re-attached rank re-read it: %v", err)
+	}
+	if _, err := n1.FetchBlock(ctx, 1, 0); err != nil {
+		t.Fatalf("step retired before the re-attached rank re-read it: %v", err)
+	}
 	if err := n1.ReleaseStep(1); err != nil {
 		t.Fatal(err)
 	}
+	// Re-releasing an already-released step is a harmless no-op.
 	if err := n0.ReleaseStep(1); err != nil {
 		t.Fatal(err)
 	}

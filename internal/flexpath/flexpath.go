@@ -619,6 +619,19 @@ func (b *Broker) AttachReader(stream string, rank, size int) (*Reader, error) {
 		// that then retired; it can only resume inside the live window.
 		s.readerNext[rank] = s.minStep
 	}
+	// The new handle resumes at the group minimum (NextStep), which may
+	// be below steps this rank released in its previous attempt. It
+	// re-reads those steps, so it must gate them again: otherwise a
+	// peer's releases in the new attempt retire them before this rank
+	// gets there.
+	if next := s.resumeStep(); s.readerNext[rank] > next {
+		s.readerNext[rank] = next
+		for step, st := range s.steps {
+			if step >= next {
+				delete(st.released, rank)
+			}
+		}
+	}
 	b.cond.Broadcast()
 	return &Reader{b: b, s: s, rank: rank}, nil
 }
@@ -627,13 +640,17 @@ func (b *Broker) AttachReader(stream string, rank, size int) (*Reader, error) {
 // a detach: the lowest step not yet released by every rank of the reader
 // group. Restarted groups resume from a common step so collective
 // components stay aligned; steps a rank already released are simply
-// re-read (they cannot have retired while another rank still gates
-// them).
+// re-read (its re-attach made it gate them again, see AttachReader).
 func (r *Reader) NextStep() int {
-	b := r.b
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := r.s
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	return r.s.resumeStep()
+}
+
+// resumeStep is the reader group's resume point: the lowest step some
+// rank has not released, clamped to the live window. Caller holds the
+// broker lock.
+func (s *stream) resumeStep() int {
 	next := 0
 	for i, n := range s.readerNext {
 		if i == 0 || n < next {

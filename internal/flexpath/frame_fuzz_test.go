@@ -26,7 +26,7 @@ func encodeFrame(t testing.TB, op byte, body []byte) []byte {
 // fresh-storage path.
 func FuzzFrameDecode(f *testing.F) {
 	// Well-formed frames, including a multi-part writeFrameVec one (the
-	// coalesced publish/fetch path) to prove gathering does not change
+	// gathered publish/fetch path) to prove gathering does not change
 	// the wire format.
 	fw := &frameWriter{}
 	fw.str("dump.fp")

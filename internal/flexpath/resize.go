@@ -120,15 +120,7 @@ func (s *stream) resizeReaders(b *Broker, size int) error {
 	if n := s.liveReaders(); n > 0 {
 		return fmt.Errorf("flexpath: stream %q has %d live reader handle(s), detach before resizing", s.name, n)
 	}
-	next := s.readerNext[0]
-	for _, n := range s.readerNext[1:] {
-		if n < next {
-			next = n
-		}
-	}
-	if next < s.minStep {
-		next = s.minStep
-	}
+	next := s.resumeStep()
 	s.readerSize = size
 	s.readerLive = make([]bool, size)
 	s.readerClosed = make(map[int]bool)

@@ -531,7 +531,6 @@ func DialShm(path string) *ShmTransport {
 // header the broker wrote).
 func DialShmConfig(path string, cfg ShmConfig) *ShmTransport {
 	c := dial("unix", path)
-	c.coalesce = true
 	return &ShmTransport{c: c, cfg: cfg, segPath: path + ".seg"}
 }
 

@@ -70,12 +70,6 @@ const (
 type Client struct {
 	addr    string
 	network string // "tcp" (Dial) or "unix" (DialUnix); "" means tcp
-	// coalesce enables step-batched frame coalescing on writer handles:
-	// each published step leaves the process as a single gathered write
-	// (one writev of header + meta + payload) instead of being staged
-	// into a contiguous frame buffer first. Set by DialUnix, where the
-	// local-host hop makes the copy the dominant cost.
-	coalesce bool
 
 	// Backoff configures dial/attach retries; zero value = defaults.
 	Backoff Backoff
@@ -246,8 +240,8 @@ func call(ctx context.Context, conn net.Conn, wmu *sync.Mutex, op byte, body []b
 }
 
 // callVec is call with a gathered request write: the frame is the
-// concatenation of parts, written via one writev (step-batched
-// coalescing). vecs is the handle's reused iovec scratch.
+// concatenation of parts, written via one writev. vecs is the handle's
+// reused iovec scratch.
 func callVec(ctx context.Context, conn net.Conn, wmu *sync.Mutex, op byte, parts [][]byte, vecs *net.Buffers, rbuf *[]byte) (*frameReader, error) {
 	return callWith(ctx, conn, wmu, rbuf, func() error { return writeFrameVec(conn, vecs, op, parts...) })
 }
@@ -354,10 +348,6 @@ type RemoteWriter struct {
 	c    *Client
 	conn net.Conn
 	next int
-	// coalesce publishes each step as one gathered write instead of
-	// staging meta and payload into a contiguous frame first (see
-	// Client.coalesce).
-	coalesce bool
 
 	wmu sync.Mutex // serialises frame writes (requests vs heartbeats)
 
@@ -366,8 +356,8 @@ type RemoteWriter struct {
 	hbStop chan struct{}
 	fbuf   []byte      // publish frame scratch, guarded by mu
 	rbuf   []byte      // response read scratch, guarded by mu
-	parts  [][]byte    // coalesced publish part list, guarded by mu
-	vecs   net.Buffers // coalesced publish iovec scratch, guarded by mu
+	parts  [][]byte    // gathered publish part list, guarded by mu
+	vecs   net.Buffers // gathered publish iovec scratch, guarded by mu
 }
 
 // AttachWriter joins the writer group of a stream on the remote broker.
@@ -381,7 +371,7 @@ func (c *Client) AttachWriter(stream string, rank, size, depth int) (*RemoteWrit
 	if err != nil {
 		return nil, err
 	}
-	w := &RemoteWriter{c: c, conn: conn, next: int(fr.u32()), coalesce: c.coalesce}
+	w := &RemoteWriter{c: c, conn: conn, next: int(fr.u32())}
 	interval := c.HeartbeatInterval
 	if interval == 0 {
 		interval = defaultHeartbeatInterval
@@ -426,36 +416,26 @@ func (w *RemoteWriter) heartbeat(interval, ttl time.Duration) {
 func (w *RemoteWriter) NextStep() int { return w.next }
 
 // PublishBlock queues this rank's block for the given step, blocking
-// while the remote queue window is full. The request frame and response
-// are staged in handle-owned scratch buffers, so a steady publish loop
-// allocates nothing on this side of the wire.
+// while the remote queue window is full. Each step leaves the process
+// as one gathered write: only the 12 bytes of step and length prefixes
+// are staged (in handle-owned scratch, like the response), and meta and
+// payload go out from their original storage in a single writev with
+// the frame header, so a steady publish loop neither copies the
+// payload nor allocates on this side of the wire.
 func (w *RemoteWriter) PublishBlock(ctx context.Context, step int, meta, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
 	}
-	var err error
-	if w.coalesce {
-		// Step-batched coalescing: only the 12 bytes of step and length
-		// prefixes are staged; meta and payload leave the process from
-		// their original storage in a single writev with the frame header.
-		f := &frameWriter{buf: w.fbuf[:0]}
-		f.u32(uint32(step))
-		f.u32(uint32(len(meta)))
-		f.u32(uint32(len(payload)))
-		w.fbuf = f.buf
-		parts := append(w.parts[:0], f.buf[:8], meta, f.buf[8:12], payload)
-		w.parts = parts[:0]
-		_, err = callVec(ctx, w.conn, &w.wmu, opPublish, parts, &w.vecs, &w.rbuf)
-	} else {
-		f := &frameWriter{buf: w.fbuf[:0]}
-		f.u32(uint32(step))
-		f.bytes(meta)
-		f.bytes(payload)
-		w.fbuf = f.buf
-		_, err = call(ctx, w.conn, &w.wmu, opPublish, f.buf, &w.rbuf)
-	}
+	f := &frameWriter{buf: w.fbuf[:0]}
+	f.u32(uint32(step))
+	f.u32(uint32(len(meta)))
+	f.u32(uint32(len(payload)))
+	w.fbuf = f.buf
+	parts := append(w.parts[:0], f.buf[:8], meta, f.buf[8:12], payload)
+	w.parts = parts[:0]
+	_, err := callVec(ctx, w.conn, &w.wmu, opPublish, parts, &w.vecs, &w.rbuf)
 	if err == nil && step >= w.next {
 		w.next = step + 1
 	}

@@ -73,11 +73,6 @@ func listenUnix(path string) (*net.UnixListener, *os.File, error) {
 	return ln, lock, nil
 }
 
-// DialUnix prepares a client for a broker socket path, with
-// step-batched frame coalescing enabled. No connection is made until a
-// handle attaches.
-func DialUnix(path string) *Client {
-	c := dial("unix", path)
-	c.coalesce = true
-	return c
-}
+// DialUnix prepares a client for a broker socket path. No connection is
+// made until a handle attaches.
+func DialUnix(path string) *Client { return dial("unix", path) }

@@ -153,52 +153,72 @@ func (f *Fused) StageMetrics() []*Metrics { return f.metrics }
 // partitions along a different axis), never through the broker.
 func (f *Fused) Run(env *Env) error {
 	f.ensureMetrics(env.Comm.Size(), env.Registry)
-	for _, m := range f.metrics {
+	return runChain(env, f.name, f.parts, f.metrics)
+}
+
+// runChain is the one map-stage step loop, shared by Fused.Run and
+// RunMap (a one-part chain): the stage named name runs parts in order,
+// recording part k's steps into metrics[k] (nil records nothing). The
+// slices are parameters, not fields of a struct, so RunMap's one-part
+// slices can stay on the stack.
+func runChain(env *Env, name string, parts []FusedPart, metrics []*Metrics) error {
+	for _, m := range metrics {
 		m.MarkStarted()
-		defer m.MarkFinished()
 	}
-	first, last := f.parts[0].Cfg, f.parts[len(f.parts)-1].Cfg
+	defer func() {
+		for _, m := range metrics {
+			m.MarkFinished()
+		}
+	}()
+	first, last := parts[0].Cfg, parts[len(parts)-1].Cfg
 	r, err := env.OpenReader(first.InStream)
 	if err != nil {
-		return fmt.Errorf("%s: attaching reader to %q: %w", f.name, first.InStream, err)
+		return fmt.Errorf("%s: attaching reader to %q: %w", name, first.InStream, err)
 	}
 	defer r.Close()
 	w, err := env.OpenWriter(last.OutStream)
 	if err != nil {
-		return fmt.Errorf("%s: attaching writer to %q: %w", f.name, last.OutStream, err)
+		return fmt.Errorf("%s: attaching writer to %q: %w", name, last.OutStream, err)
 	}
 	defer w.Close()
 
 	// One Direct exchange per interior edge, shared by all ranks of this
 	// attempt: rank 0 creates them and broadcasts the pointers, so a
 	// supervised restart (a fresh Run on every rank) starts from clean
-	// exchanges instead of a half-published step.
+	// exchanges instead of a half-published step. A one-part chain has
+	// no interior edge and so no collective here.
 	var exchanges []*flexpath.Direct
-	if env.Comm.Size() > 1 {
+	if len(parts) > 1 && env.Comm.Size() > 1 {
 		if env.Comm.Rank() == 0 {
-			exchanges = make([]*flexpath.Direct, len(f.parts)-1)
+			exchanges = make([]*flexpath.Direct, len(parts)-1)
 			for i := range exchanges {
 				exchanges[i] = flexpath.NewDirect(env.Comm.Size())
 			}
 		}
 		exchanges, err = mpi.Bcast(env.Comm, exchanges, 0)
 		if err != nil {
-			return fmt.Errorf("%s: sharing fused exchanges: %w", f.name, err)
+			return fmt.Errorf("%s: sharing fused exchanges: %w", name, err)
 		}
 	}
 
 	for {
-		// Step boundary: same elastic-rescale interrupt seam as RunMap.
+		// Step boundary: the elastic-rescale supervisor interrupts here,
+		// after the previous step fully settled and before any work on the
+		// next, so a detach leaves nothing half-published.
 		if env.Interrupt != nil {
 			if err := env.Interrupt(); err != nil {
+				// The supervisor will detach the handles; keep the defer
+				// chain's graceful closes from ending the streams first.
 				env.Handles.Suspend()
 				return err
 			}
 		}
 		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
-		eof, err := f.runFusedStep(env, r, w, exchanges, step)
+		eof, err := runChainStep(env, name, parts, metrics, r, w, exchanges, step)
 		if eof {
-			env.logf("%s rank %d: input stream %q ended after %d steps", f.name, env.Comm.Rank(), first.InStream, step)
+			if env.Logf != nil {
+				env.Logf("%s rank %d: input stream %q ended after %d steps", name, env.Comm.Rank(), first.InStream, step)
+			}
 			return nil
 		}
 		if err != nil {
@@ -207,24 +227,31 @@ func (f *Fused) Run(env *Env) error {
 	}
 }
 
-// runFusedStep executes one timestep through the whole chain. The input
-// step stays open until the final output is published, so a crash
-// anywhere mid-chain leaves the step unreleased and a supervised
-// restart recomputes it from the stream — the same crash-consistency
-// window RunMap has.
-func (f *Fused) runFusedStep(env *Env, r *adios.Reader, w *adios.Writer,
-	exchanges []*flexpath.Direct, step int) (eof bool, err error) {
+// runChainStep executes one timestep through the whole chain: wait for the
+// step, read this rank's partition, run every kernel, republish (unless
+// the resumed writer already has), release. The input step stays open
+// until the final output is published, so a crash anywhere mid-chain
+// leaves the step unreleased and a supervised restart recomputes it
+// from the stream.
+//
+// Each part gets its own stage.step span, allocated up front and
+// carried into every transport call of the part via the step context,
+// so fabric spans nest under it. The span is emitted once the part
+// settles — successfully or not — so a trace never contains a child
+// whose parent was lost to a failure. The last part settles after the
+// input release, so its span and its active time include it. Active
+// time excludes waiting for the producer.
+func runChainStep(env *Env, name string, parts []FusedPart, metrics []*Metrics,
+	r *adios.Reader, w *adios.Writer, exchanges []*flexpath.Direct, step int) (eof bool, err error) {
 	rank := env.Comm.Rank()
 	tr := env.Tracer
+	lastPart := len(parts) - 1
 
 	var info *adios.StepInfo // the current (real or virtual) step metadata
 	var out *StepOutput      // the previous kernel's output
-	for k := range f.parts {
-		part := &f.parts[k]
+	for k := range parts {
+		part := &parts[k]
 		cfg := part.Cfg
-		// Per-component stage.step span, allocated up front and carried
-		// into every transport call of this part, emitted once the part
-		// settles — exactly the contract RunMap gives an unfused stage.
 		ctx := env.Ctx()
 		var stepSpan obs.SpanID
 		var stepStart int64
@@ -245,12 +272,12 @@ func (f *Fused) runFusedStep(env *Env, r *adios.Reader, w *adios.Writer,
 				err = fmt.Errorf("%s: step %d: %w", cfg.Name, step, berr)
 			} else {
 				info = stepInfo
-				begin = time.Now() // active time: excludes waiting for the producer
-				in, err = f.readInput(env, cfg, part.Kernel, r, ctx, info, step)
+				begin = time.Now()
+				in, err = readInput(env, cfg, part.Kernel, r, ctx, info, step)
 			}
 		} else {
-			info = handoffInfo(&f.parts[k-1].Cfg, info, out, step)
-			in, err = f.handoff(env, cfg, part.Kernel, exchanges, ctx, info, out, step, k)
+			info = handoffInfo(&parts[k-1].Cfg, info, out, step)
+			in, err = handoff(env, cfg, part.Kernel, exchanges, ctx, info, out, step, k)
 		}
 		var bytesIn, bytesOut int64
 		if err == nil {
@@ -262,9 +289,11 @@ func (f *Fused) runFusedStep(env *Env, r *adios.Reader, w *adios.Writer,
 		}
 		if err == nil {
 			bytesOut = int64(len(out.Data) * 8)
-			if k == len(f.parts)-1 {
+			if k == lastPart {
 				if perr := publishOutput(env, cfg, w, ctx, step, info.Attrs, out); perr != nil {
 					err = fmt.Errorf("%s: step %d: %w", cfg.Name, step, perr)
+				} else if rerr := r.EndStep(); rerr != nil {
+					err = fmt.Errorf("%s: step %d: %w", name, step, rerr)
 				}
 			}
 		}
@@ -280,17 +309,14 @@ func (f *Fused) runFusedStep(env *Env, r *adios.Reader, w *adios.Writer,
 		if err != nil {
 			return false, err
 		}
-		f.metrics[k].RecordStep(step, time.Since(begin), bytesIn, bytesOut)
-	}
-	if rerr := r.EndStep(); rerr != nil {
-		return false, fmt.Errorf("%s: step %d: %w", f.name, step, rerr)
+		metrics[k].RecordStep(step, time.Since(begin), bytesIn, bytesOut)
 	}
 	return false, nil
 }
 
 // readInput reads this rank's partition of the chain's first input from
-// the real stream — identical to the head of an unfused map step.
-func (f *Fused) readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader,
+// the real stream.
+func readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader,
 	ctx context.Context, info *adios.StepInfo, step int) (*StepInput, error) {
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	v, ok := info.Var(cfg.InArray)
@@ -316,7 +342,7 @@ func (f *Fused) readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Re
 // Every rank takes the same path per step — publish/await/release is
 // collective — so a partition disagreement can never deadlock the
 // exchange.
-func (f *Fused) handoff(env *Env, cfg MapConfig, kernel MapKernel, exchanges []*flexpath.Direct,
+func handoff(env *Env, cfg MapConfig, kernel MapKernel, exchanges []*flexpath.Direct,
 	ctx context.Context, info *adios.StepInfo, prev *StepOutput, step, k int) (*StepInput, error) {
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	v := info.Vars[0]

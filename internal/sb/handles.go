@@ -25,10 +25,12 @@ import (
 // "poisoned" by the first operation error: from then on the component's
 // own Close calls become deferred no-ops and the supervisor settles
 // every surviving handle with Finish — Detach before a retry, Crash when
-// retries are exhausted, Close on success. On a clean run the component's
-// closes pass straight through, preserving mid-run close semantics (a
-// sequential-phase component really does mean Close when it closes one
-// stream and opens the next).
+// retries are exhausted, Close on success. On a clean run a reader's
+// close passes straight through. A writer's close always waits for
+// Finish: the last writer rank to close ends the stream, so a rank that
+// finished must keep its slot open until the whole attempt succeeds —
+// if a peer fails, the finished rank re-runs too, and a stream its
+// peer's new attempt ended in between would refuse its re-attach.
 
 // FinishMode selects how HandleSet.Finish settles surviving handles.
 type FinishMode int
@@ -126,8 +128,8 @@ func (hs *HandleSet) settleInline(e *managedEntry, close func() error) error {
 
 // FinishRank settles one rank's outcome the moment its Run body returns:
 // a failed rank poisons the set (its handles — and its peers' — wait for
-// the supervisor), a succeeded rank's handles close immediately so its
-// streams retire without waiting for slower peers.
+// the supervisor), a succeeded rank's readers close immediately so they
+// stop gating retirement for slower peers. Its writers wait for Finish.
 func (hs *HandleSet) FinishRank(env *Env, err error) {
 	if err != nil {
 		hs.noteErr(err)
@@ -136,18 +138,14 @@ func (hs *HandleSet) FinishRank(env *Env, err error) {
 	hs.mu.Lock()
 	var todo []*managedEntry
 	for _, e := range hs.entries {
-		if e.env == env && !e.settled {
+		if e.env == env && e.reader != nil && !e.settled {
 			e.settled = true
 			todo = append(todo, e)
 		}
 	}
 	hs.mu.Unlock()
 	for _, e := range todo {
-		if e.writer != nil {
-			e.writer.Close()
-		} else {
-			e.reader.Close()
-		}
+		e.reader.Close()
 	}
 }
 
@@ -156,7 +154,9 @@ func (hs *HandleSet) FinishRank(env *Env, err error) {
 // FinishCrash (it becomes part of downstream ErrWriterLost diagnoses).
 func (hs *HandleSet) Finish(mode FinishMode, cause error) {
 	hs.mu.Lock()
-	var todo []*managedEntry
+	// The set gives up its entries, so the unsettled ones are gathered
+	// in place rather than into a new slice.
+	todo := hs.entries[:0]
 	for _, e := range hs.entries {
 		if !e.settled {
 			e.settled = true
@@ -261,9 +261,8 @@ func (m *managedWriter) PublishBlockRef(ctx context.Context, step int, meta, pay
 	return err
 }
 
-func (m *managedWriter) Close() error {
-	return m.hs.settleInline(m.e, m.inner.Close)
-}
+// Close defers to the supervisor's Finish (see HandleSet).
+func (m *managedWriter) Close() error { return nil }
 
 type managedReader struct {
 	hs    *HandleSet

@@ -2,10 +2,6 @@ package sb
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/adios"
 	"repro/internal/ndarray"
@@ -68,128 +64,23 @@ type MapConfig struct {
 // RunMap executes the shared per-rank loop of a map-style component:
 // attach to the input and output streams, and for every timestep read
 // this rank's partition, transform it, and republish — until the input
-// stream ends. It records one Metrics sample per timestep.
+// stream ends. It records one env.Metrics sample per timestep. An
+// unfused stage is the one-kernel case of the fused chain runner
+// (runChain), so both share one step loop.
 func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
-	r, err := env.OpenReader(cfg.InStream)
-	if err != nil {
-		return fmt.Errorf("%s: attaching reader to %q: %w", cfg.Name, cfg.InStream, err)
-	}
-	defer r.Close()
-	w, err := env.OpenWriter(cfg.OutStream)
-	if err != nil {
-		return fmt.Errorf("%s: attaching writer to %q: %w", cfg.Name, cfg.OutStream, err)
-	}
-	defer w.Close()
-
-	tr := env.Tracer
-	for {
-		// Step boundary: the elastic-rescale supervisor interrupts here,
-		// after the previous step fully settled and before any work on the
-		// next, so a detach leaves nothing half-published.
-		if env.Interrupt != nil {
-			if err := env.Interrupt(); err != nil {
-				// The supervisor will detach the handles; keep the defer
-				// chain's graceful closes from ending the streams first.
-				env.Handles.Suspend()
-				return err
-			}
-		}
-		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
-		// The stage.step span's ID is allocated up front and carried down
-		// into every transport call via the step context, so the fabric's
-		// publish/fetch spans nest under this stage's step. The span itself
-		// is emitted once the step settles — successfully or not — so a
-		// trace never contains a child whose parent was lost to a failure.
-		ctx := env.Ctx()
-		var stepSpan obs.SpanID
-		var stepStart int64
-		if tr.Enabled() {
-			stepSpan = tr.NextID()
-			ctx = obs.WithParent(ctx, stepSpan)
-			stepStart = tr.Now()
-		}
-		eof, active, bytesIn, bytesOut, err := runMapStep(env, cfg, kernel, r, w, ctx, step, stepSpan)
-		if eof {
-			env.logf("%s rank %d: input stream %q ended after %d steps", cfg.Name, env.Comm.Rank(), cfg.InStream, step)
-			return nil
-		}
-		if tr.Enabled() {
-			span := obs.Span{ID: stepSpan, Kind: obs.KindStageStep,
-				Stream: cfg.InStream, Step: step, Rank: env.Comm.Rank(), Peer: -1,
-				Bytes: bytesIn, Epoch: env.Epoch, Note: cfg.Name, Start: stepStart}
-			if err != nil {
-				span.Err = err.Error()
-			}
-			tr.Emit(span)
-		}
-		if err != nil {
-			return err
-		}
-		if env.Metrics != nil {
-			env.Metrics.RecordStep(step, active, bytesIn, bytesOut)
-		}
-	}
+	return runChain(env, cfg.Name, []FusedPart{{Cfg: cfg, Kernel: kernel}}, []*Metrics{env.Metrics})
 }
 
-// runMapStep executes one timestep of the RunMap loop: wait for the
-// step, read this rank's partition, transform, republish (unless the
-// resumed writer already has), release. It reports end-of-stream via
-// eof, the step's active duration (excluding the wait for the
-// producer), and the payload bytes moved.
-//
-// The body is a composition of the kernel seam below — partitionFor,
-// transformKernel, publishOutput — the same pieces the fused runner
-// (fuse.go) chains back-to-back without the intermediate stream hop.
-func runMapStep(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader, w *adios.Writer,
-	ctx context.Context, step int, stepSpan obs.SpanID) (eof bool, active time.Duration, bytesIn, bytesOut int64, err error) {
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	fail := func(e error) (bool, time.Duration, int64, int64, error) {
-		return false, 0, bytesIn, bytesOut, fmt.Errorf("%s: step %d: %w", cfg.Name, step, e)
-	}
-	info, err := r.BeginStep(ctx)
-	if errors.Is(err, io.EOF) {
-		return true, 0, 0, 0, nil
-	}
-	if err != nil {
-		return fail(err)
-	}
-	begin := time.Now() // active time: excludes waiting for the producer
-	v, ok := info.Var(cfg.InArray)
-	if !ok {
-		return false, 0, 0, 0, fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
-	}
-	box, err := partitionFor(kernel, cfg.Policy, v, info, size, rank)
-	if err != nil {
-		return fail(err)
-	}
-	block, err := r.ReadBox(ctx, cfg.InArray, box)
-	if err != nil {
-		return fail(err)
-	}
-	bytesIn = int64(block.Size() * 8)
-	out, err := transformKernel(env, cfg.Name, cfg.InStream, kernel, stepSpan, step,
-		&StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r})
-	if err != nil {
-		return fail(err)
-	}
-	bytesOut = int64(len(out.Data) * 8)
-	if err := publishOutput(env, cfg, w, ctx, step, info.Attrs, out); err != nil {
-		return fail(err)
-	}
-	if err := r.EndStep(); err != nil {
-		return fail(err)
-	}
-	return false, time.Since(begin), bytesIn, bytesOut, nil
+// axisReserver is the ReservedAxes method MapKernel and ReduceKernel
+// share.
+type axisReserver interface {
+	ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error)
 }
 
 // partitionFor computes the box one rank reads of variable v for the
 // given kernel: the kernel reserves axes that must stay whole, the
 // policy picks the partition axis among the rest.
-func partitionFor(kernel MapKernel, policy PartitionPolicy, v *adios.GlobalVar, info *adios.StepInfo, size, rank int) (ndarray.Box, error) {
+func partitionFor(kernel axisReserver, policy PartitionPolicy, v *adios.GlobalVar, info *adios.StepInfo, size, rank int) (ndarray.Box, error) {
 	reserved, err := kernel.ReservedAxes(v, info)
 	if err != nil {
 		return ndarray.Box{}, err

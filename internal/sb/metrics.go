@@ -9,7 +9,10 @@ import (
 )
 
 // Metrics collects per-timestep measurements from every rank of one
-// component. It is safe for concurrent use by all rank goroutines. The
+// component. It is safe for concurrent use by all rank goroutines. Like
+// the obs instruments it is nil-safe where callers record or look it up
+// (MarkStarted, MarkFinished, RecordStep, SetRanks, Component), so a
+// component records unconditionally. The
 // evaluation section of the paper reports exactly these quantities:
 // per-component timestep completion times "averaged over the component's
 // communicator" (§V-B) and per-process throughputs derived from them.
@@ -42,8 +45,14 @@ func NewMetrics(component string, ranks int) *Metrics {
 	return &Metrics{component: component, steps: map[int]*stepAgg{}, ranks: ranks}
 }
 
-// Component returns the component name the collector belongs to.
-func (m *Metrics) Component() string { return m.component }
+// Component returns the component name the collector belongs to ("" for
+// a nil collector).
+func (m *Metrics) Component() string {
+	if m == nil {
+		return ""
+	}
+	return m.component
+}
 
 // Ranks returns the size of the component's communicator.
 func (m *Metrics) Ranks() int { return m.ranks }
@@ -52,6 +61,9 @@ func (m *Metrics) Ranks() int { return m.ranks }
 // per-rank normalization in reports reflects the size the remaining
 // steps actually ran at.
 func (m *Metrics) SetRanks(n int) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	m.ranks = n
 	m.mu.Unlock()
@@ -78,6 +90,9 @@ func (m *Metrics) BindRegistry(r *obs.Registry) {
 // MarkStarted records the wall-clock start of the component (first rank
 // to arrive wins).
 func (m *Metrics) MarkStarted() {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.started.IsZero() {
@@ -87,6 +102,9 @@ func (m *Metrics) MarkStarted() {
 
 // MarkFinished records the wall-clock end (last rank to finish wins).
 func (m *Metrics) MarkFinished() {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.finished = time.Now()
@@ -95,6 +113,9 @@ func (m *Metrics) MarkFinished() {
 // RecordStep adds one rank's measurement of one timestep: how long the
 // rank spent on it and how many payload bytes it read and wrote.
 func (m *Metrics) RecordStep(step int, d time.Duration, bytesIn, bytesOut int64) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	agg, ok := m.steps[step]

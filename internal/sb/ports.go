@@ -3,10 +3,9 @@ package sb
 // This file defines the port-introspection contract the workflow plan IR
 // is built on. A component's ports are the streams it subscribes to and
 // publishes, each with the primary array it carries — declared from the
-// component's parsed arguments, before anything runs. Where the older
-// StreamDeclarer contract (workflow.Lint) yields bare stream names, a
-// Port also names the array, which is what lets the planner check that
-// two fused kernels actually hand the same variable to each other
+// component's parsed arguments, before anything runs. A Port names the
+// array as well as the stream, which is what lets the planner check
+// that two fused kernels actually hand the same variable to each other
 // instead of merely meeting on a stream.
 
 // PortDir distinguishes subscription from publication.

@@ -46,10 +46,8 @@ type ReduceConfig[T any] struct {
 // for every timestep, read this rank's partition, run the collective
 // reduction, deliver the result on rank 0 — until the input stream ends.
 func RunReduce[T any](env *Env, cfg ReduceConfig[T], kernel ReduceKernel[T]) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	env.Metrics.MarkStarted()
+	defer env.Metrics.MarkFinished()
 	r, err := env.OpenReader(cfg.InStream)
 	if err != nil {
 		return fmt.Errorf("%s: attaching reader to %q: %w", cfg.Name, cfg.InStream, err)
@@ -75,15 +73,10 @@ func RunReduce[T any](env *Env, cfg ReduceConfig[T], kernel ReduceKernel[T]) err
 			return fmt.Errorf("%s: expects %d-dimensional data, got %d dimensions in %q",
 				cfg.Name, cfg.RequireDims, len(v.Dims), v.Name)
 		}
-		reserved, err := kernel.ReservedAxes(v, info)
+		box, err := partitionFor(kernel, cfg.Policy, v, info, size, rank)
 		if err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 		}
-		axis, err := ChooseAxis(cfg.Policy, v.Shape(), reserved...)
-		if err != nil {
-			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-		}
-		box := PartitionBox(v.Shape(), axis, size, rank)
 		block, err := r.ReadBox(env.Ctx(), cfg.InArray, box)
 		if err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
@@ -100,8 +93,6 @@ func RunReduce[T any](env *Env, cfg ReduceConfig[T], kernel ReduceKernel[T]) err
 		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 		}
-		if env.Metrics != nil {
-			env.Metrics.RecordStep(step, time.Since(begin), int64(block.Size()*8), cfg.OutBytes)
-		}
+		env.Metrics.RecordStep(step, time.Since(begin), int64(block.Size()*8), cfg.OutBytes)
 	}
 }

@@ -14,9 +14,10 @@
 //     they receive, and partition it evenly across their ranks with
 //     bounding-box selections.
 //
-// The RunMap loop in kernel.go captures the shared shape of the paper's
+// RunMap (kernel.go) captures the shared shape of the paper's
 // data-transformation components (Select, Magnitude, Dim-Reduce): read a
-// partitioned block, transform it locally, republish. Components with
+// partitioned block, transform it locally, republish. Its step loop is
+// the fused chain runner's (fuse.go) with a single kernel. Components with
 // different shapes (Histogram's reduction to a file, the all-in-one
 // baseline) implement Component directly.
 package sb
@@ -40,8 +41,8 @@ import (
 // signal, not a failure.
 var ErrRescale = errors.New("sb: stage rescale requested")
 
-// Transport is the stream fabric a component attaches to. Both the
-// in-process broker and the TCP client satisfy it.
+// Transport is the stream fabric a component attaches to; Fabric
+// adapts every flexpath backend to it.
 type Transport interface {
 	// AttachWriter joins the writer group of a stream as rank of size,
 	// with the given queue depth (0 = transport default).
@@ -50,34 +51,11 @@ type Transport interface {
 	AttachReader(stream string, rank, size int) (adios.BlockReader, error)
 }
 
-// BrokerTransport adapts the in-process flexpath.Broker to Transport.
-type BrokerTransport struct {
-	Broker *flexpath.Broker
-}
-
-// AttachWriter implements Transport.
-func (t BrokerTransport) AttachWriter(stream string, rank, size, depth int) (adios.BlockWriter, error) {
-	w, err := t.Broker.AttachWriter(stream, rank, size, depth)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// AttachReader implements Transport.
-func (t BrokerTransport) AttachReader(stream string, rank, size int) (adios.BlockReader, error) {
-	r, err := t.Broker.AttachReader(stream, rank, size)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // Fabric adapts any flexpath.Transport — the formal multi-backend
-// contract (inproc, tcp, uds) — to the component-facing Transport.
-// BrokerTransport and ClientTransport predate the interface and remain
-// for direct construction; code that selects a backend at run time
-// (flexpath.Open) wraps the result in a Fabric.
+// contract (inproc, tcp, uds, shm) — to the component-facing Transport:
+// Fabric{T: flexpath.InProc{B: broker}} for an in-process broker,
+// Fabric{T: flexpath.Remote{C: client}} for one served in another
+// process.
 type Fabric struct {
 	T flexpath.Transport
 }
@@ -94,30 +72,6 @@ func (f Fabric) AttachWriter(stream string, rank, size, depth int) (adios.BlockW
 // AttachReader implements Transport.
 func (f Fabric) AttachReader(stream string, rank, size int) (adios.BlockReader, error) {
 	r, err := f.T.AttachReader(stream, rank, size)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// ClientTransport adapts a TCP flexpath.Client to Transport, letting a
-// component process attach to a broker served in another process.
-type ClientTransport struct {
-	Client *flexpath.Client
-}
-
-// AttachWriter implements Transport.
-func (t ClientTransport) AttachWriter(stream string, rank, size, depth int) (adios.BlockWriter, error) {
-	w, err := t.Client.AttachWriter(stream, rank, size, depth)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// AttachReader implements Transport.
-func (t ClientTransport) AttachReader(stream string, rank, size int) (adios.BlockReader, error) {
-	r, err := t.Client.AttachReader(stream, rank, size)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +102,7 @@ type Env struct {
 	// operation of a managed handle (publish, step wait, fetch). It only
 	// applies when Handles is set.
 	StepTimeout time.Duration
-	// Metrics, when non-nil, collects per-timestep measurements.
+	// Metrics collects per-timestep measurements; nil records nothing.
 	Metrics *Metrics
 	// Tracer, when non-nil, receives per-step spans (stage.step,
 	// kernel.transform) from this rank, and its span IDs flow down into
@@ -174,12 +128,6 @@ type Env struct {
 
 // Ctx returns the cancellation context governing this rank.
 func (e *Env) Ctx() context.Context { return e.Comm.Context() }
-
-func (e *Env) logf(format string, args ...any) {
-	if e.Logf != nil {
-		e.Logf(format, args...)
-	}
-}
 
 // OpenReader attaches this rank to a stream's reader group (sized to the
 // component's communicator) and wraps it in the self-describing layer.

@@ -98,10 +98,8 @@ func (s *Sim) Name() string { return "gromacs" }
 // Run implements sb.Component: each rank owns a contiguous range of
 // atoms and publishes its (ownAtoms × 3) coordinate block per timestep.
 func (s *Sim) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	env.Metrics.MarkStarted()
+	defer env.Metrics.MarkFinished()
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	offset, count := ndarray.Partition1D(s.Atoms, size, rank)
 
@@ -162,9 +160,7 @@ func (s *Sim) Run(env *sb.Env) error {
 				return fmt.Errorf("gromacs: step %d: %w", step, err)
 			}
 		}
-		if env.Metrics != nil {
-			env.Metrics.RecordStep(step, time.Since(begin), 0, int64(len(pos)*8))
-		}
+		env.Metrics.RecordStep(step, time.Since(begin), 0, int64(len(pos)*8))
 	}
 	return nil
 }
@@ -238,19 +234,6 @@ func (s *Sim) integrate(pos, vel []float64, n int, rng *rand.Rand, scr *integrat
 }
 
 func init() { components.Register("gromacs", NewFromArgs) }
-
-// InputStreams implements workflow.StreamDeclarer: the simulation drives
-// the workflow and subscribes to nothing.
-func (s *Sim) InputStreams() []string { return nil }
-
-// OutputStreams implements workflow.StreamDeclarer. Stream "-" disables
-// output.
-func (s *Sim) OutputStreams() []string {
-	if s.Stream == "-" {
-		return nil
-	}
-	return []string{s.Stream}
-}
 
 // Ports implements sb.PortDeclarer: the simulation drives the workflow,
 // publishing its position array (nothing when output is disabled).

@@ -108,10 +108,8 @@ func (s *Sim) Name() string { return "gtcp" }
 // Run implements sb.Component: each rank owns a contiguous band of
 // toroidal slices and publishes its (ownSlices × points × 7) block.
 func (s *Sim) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	env.Metrics.MarkStarted()
+	defer env.Metrics.MarkFinished()
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	if s.Slices < size {
 		// The toroidal halo ring needs every rank to own at least one
@@ -183,9 +181,7 @@ func (s *Sim) Run(env *sb.Env) error {
 				return fmt.Errorf("gtcp: step %d: %w", step, err)
 			}
 		}
-		if env.Metrics != nil {
-			env.Metrics.RecordStep(step, time.Since(begin), 0, int64(len(buf)*8))
-		}
+		env.Metrics.RecordStep(step, time.Since(begin), 0, int64(len(buf)*8))
 	}
 	return nil
 }
@@ -303,19 +299,6 @@ func (s *Sim) evolve(field [][]float64, offset, count int, rng *rand.Rand, below
 }
 
 func init() { components.Register("gtcp", NewFromArgs) }
-
-// InputStreams implements workflow.StreamDeclarer: the simulation drives
-// the workflow and subscribes to nothing.
-func (s *Sim) InputStreams() []string { return nil }
-
-// OutputStreams implements workflow.StreamDeclarer. Stream "-" disables
-// output.
-func (s *Sim) OutputStreams() []string {
-	if s.Stream == "-" {
-		return nil
-	}
-	return []string{s.Stream}
-}
 
 // Ports implements sb.PortDeclarer: the simulation drives the workflow,
 // publishing its field array (nothing when output is disabled).

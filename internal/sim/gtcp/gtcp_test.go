@@ -43,12 +43,12 @@ func TestSimOutputsContract(t *testing.T) {
 	go func() {
 		done <- mpi.Run(2, func(comm *mpi.Comm) error {
 			sim := New("g.fp", "grid", slices, points, steps, 1)
-			return sim.Run(&sb.Env{Comm: comm, Transport: sb.BrokerTransport{Broker: broker}})
+			return sim.Run(&sb.Env{Comm: comm, Transport: sb.Fabric{T: flexpath.InProc{B: broker}}})
 		})
 	}()
 	var arrays []*ndarray.Array
 	err := mpi.Run(1, func(comm *mpi.Comm) error {
-		env := &sb.Env{Comm: comm, Transport: sb.BrokerTransport{Broker: broker}}
+		env := &sb.Env{Comm: comm, Transport: sb.Fabric{T: flexpath.InProc{B: broker}}}
 		r, err := env.OpenReader("g.fp")
 		if err != nil {
 			return err

@@ -129,10 +129,8 @@ type state struct {
 // Run implements sb.Component: integrate, and publish one (particles×5)
 // timestep per coarse interval.
 func (s *Sim) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	env.Metrics.MarkStarted()
+	defer env.Metrics.MarkFinished()
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	offset, count := ndarray.Partition1D(s.Particles, size, rank)
 	st := s.initState(offset, count, rank)
@@ -191,9 +189,7 @@ func (s *Sim) Run(env *sb.Env) error {
 				return fmt.Errorf("lammps: step %d: %w", step, err)
 			}
 		}
-		if env.Metrics != nil {
-			env.Metrics.RecordStep(step, time.Since(begin), 0, int64(len(buf)*8))
-		}
+		env.Metrics.RecordStep(step, time.Since(begin), 0, int64(len(buf)*8))
 	}
 	return nil
 }
@@ -304,19 +300,6 @@ func (s *Sim) integrate(st *state, cycle int, below, above halo) {
 }
 
 func init() { components.Register("lammps", NewFromArgs) }
-
-// InputStreams implements workflow.StreamDeclarer: the simulation drives
-// the workflow and subscribes to nothing.
-func (s *Sim) InputStreams() []string { return nil }
-
-// OutputStreams implements workflow.StreamDeclarer. Stream "-" means
-// output routines are disabled (the Table II "LMP only" mode).
-func (s *Sim) OutputStreams() []string {
-	if s.Stream == "-" {
-		return nil
-	}
-	return []string{s.Stream}
-}
 
 // Ports implements sb.PortDeclarer: the simulation drives the workflow,
 // publishing its atom array (nothing when output is disabled).

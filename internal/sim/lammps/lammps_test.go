@@ -41,7 +41,7 @@ func drain(t *testing.T, broker *flexpath.Broker, stream, array string) []*ndarr
 	t.Helper()
 	var out []*ndarray.Array
 	err := mpi.Run(1, func(comm *mpi.Comm) error {
-		env := &sb.Env{Comm: comm, Transport: sb.BrokerTransport{Broker: broker}}
+		env := &sb.Env{Comm: comm, Transport: sb.Fabric{T: flexpath.InProc{B: broker}}}
 		r, err := env.OpenReader(stream)
 		if err != nil {
 			return err
@@ -81,7 +81,7 @@ func TestSimOutputsContract(t *testing.T) {
 	go func() {
 		done <- mpi.Run(3, func(comm *mpi.Comm) error {
 			sim := New("lmp.fp", "atoms", particles, steps, 1)
-			return sim.Run(&sb.Env{Comm: comm, Transport: sb.BrokerTransport{Broker: broker}})
+			return sim.Run(&sb.Env{Comm: comm, Transport: sb.Fabric{T: flexpath.InProc{B: broker}}})
 		})
 	}()
 	arrays := drain(t, broker, "lmp.fp", "atoms")
@@ -165,7 +165,7 @@ func TestSimDecompositionInvariance(t *testing.T) {
 		go func() {
 			done <- mpi.Run(procs, func(comm *mpi.Comm) error {
 				sim := New("x.fp", "atoms", 60, 1, 5)
-				return sim.Run(&sb.Env{Comm: comm, Transport: sb.BrokerTransport{Broker: broker}})
+				return sim.Run(&sb.Env{Comm: comm, Transport: sb.Fabric{T: flexpath.InProc{B: broker}}})
 			})
 		}()
 		arrays := drain(t, broker, "x.fp", "atoms")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -168,7 +169,7 @@ func TestChaosLaunchOrderPermutationsOverTCP(t *testing.T) {
 				spec.Stages = append(spec.Stages, base.Stages[idx])
 			}
 
-			tr := fault.New(sb.ClientTransport{Client: client}, fault.Plan{
+			tr := fault.New(sb.Fabric{T: flexpath.Remote{C: client}}, fault.Plan{
 				Seed:    int64(100 + pi),
 				ErrRate: 0.4,
 				Ops:     map[fault.Op]bool{fault.OpAttachWriter: true, fault.OpAttachReader: true},
@@ -182,6 +183,122 @@ func TestChaosLaunchOrderPermutationsOverTCP(t *testing.T) {
 				t.Fatalf("permutation %v failed: %v\n%s", perm, err, Report(res))
 			}
 			assertChaosResults(t, st, prod.steps, ref)
+		})
+	}
+}
+
+// TestChaosResumeIsExactlyOnce restarts fork, step-sample and concat —
+// the components that carry their own step loop instead of RunMap's —
+// under seeded fault plans, and demands the per-step results of an
+// unfaulted run, with the component's metrics keyed to exactly the
+// input steps it processed. A restarted loop must resume at the
+// reader's step (not count from 0) and must not republish a step the
+// resumed writer already has.
+func TestChaosResumeIsExactlyOnce(t *testing.T) {
+	newStats := func(t *testing.T, stream string) *components.Stats {
+		c, err := components.NewStats([]string{stream, "data"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.(*components.Stats)
+	}
+	cases := []struct {
+		name, comp string
+		plan       fault.Plan
+		// build returns the stages after the producer and the endpoints
+		// whose results are compared.
+		build func(t *testing.T) ([]Stage, []*components.Stats)
+		// steps are the input steps comp must record metrics for.
+		steps []int
+	}{
+		{
+			// A failed publish on the second output after the first one
+			// published: the resumed first writer already has the step.
+			name: "fork", comp: "fork",
+			plan: fault.Plan{Seed: 3, ErrRate: 0.1, Ops: map[fault.Op]bool{fault.OpPublish: true}},
+			build: func(t *testing.T) ([]Stage, []*components.Stats) {
+				a, b := newStats(t, "fa.fp"), newStats(t, "fb.fp")
+				return []Stage{
+					{Component: "fork", Args: []string{"chaos0.fp", "data", "fa.fp", "fb.fp"}, Procs: 2},
+					{Instance: a, Procs: 1},
+					{Instance: b, Procs: 1},
+				}, []*components.Stats{a, b}
+			},
+			steps: []int{0, 1, 2, 3, 4, 5, 6, 7},
+		},
+		{
+			// A failed step wait on an input step that is not a multiple
+			// of the stride: the stride must apply to absolute steps.
+			name: "step-sample", comp: "step-sample",
+			plan: fault.Plan{Seed: 3, ErrRate: 0.1, Ops: map[fault.Op]bool{fault.OpStepMeta: true}},
+			build: func(t *testing.T) ([]Stage, []*components.Stats) {
+				st := newStats(t, "ss.fp")
+				return []Stage{
+					{Component: "step-sample", Args: []string{"chaos0.fp", "data", "3", "ss.fp", "data"}, Procs: 2},
+					{Instance: st, Procs: 1},
+				}, []*components.Stats{st}
+			},
+			steps: []int{0, 3, 6},
+		},
+		{
+			name: "concat", comp: "concat",
+			plan: fault.Plan{Seed: 3, ErrRate: 0.1, Ops: map[fault.Op]bool{fault.OpStepMeta: true}},
+			build: func(t *testing.T) ([]Stage, []*components.Stats) {
+				st := newStats(t, "cc.fp")
+				return []Stage{
+					{Component: "fork", Args: []string{"chaos0.fp", "data", "fa.fp", "fb.fp"}, Procs: 1},
+					{Component: "concat", Args: []string{"fa.fp", "data", "fb.fp", "data", "0", "cc.fp", "data"}, Procs: 2},
+					{Instance: st, Procs: 1},
+				}, []*components.Stats{st}
+			},
+			steps: []int{0, 1, 2, 3, 4, 5, 6, 7},
+		},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			run := func(tr sb.Transport) (*Result, [][]components.StepStats) {
+				prod := &chaosProducer{rows: 12, cols: 2, steps: 8, seed: 4242}
+				stages, ends := c.build(t)
+				spec := Spec{Name: c.name, Stages: append([]Stage{{Instance: prod, Procs: 2}}, stages...)}
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				res, err := Run(ctx, tr, spec, Options{
+					Restart: RestartPolicy{MaxRestarts: 50, Backoff: time.Millisecond, StepTimeout: 5 * time.Second},
+				})
+				if err != nil {
+					t.Fatalf("run failed: %v\n%s", err, Report(res))
+				}
+				out := make([][]components.StepStats, len(ends))
+				for i, st := range ends {
+					out[i] = st.Results()
+				}
+				return res, out
+			}
+			_, want := run(transport())
+			res, got := run(fault.New(transport(), c.plan))
+			restarts := 0
+			for _, sr := range res.Stages {
+				if sr.Component.Name() == c.comp {
+					restarts += sr.Restarts
+				}
+			}
+			if restarts == 0 {
+				t.Fatalf("plan never restarted %s — the test exercised nothing\n%s", c.comp, Report(res))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("endpoint %d after %d restarts:\n got %+v\nwant %+v", i, restarts, got[i], want[i])
+				}
+			}
+			m := res.Metrics(c.comp)
+			var keys []int
+			for _, s := range m.Steps() {
+				keys = append(keys, s.Step)
+			}
+			if !reflect.DeepEqual(keys, c.steps) {
+				t.Fatalf("%s metrics recorded steps %v, want %v", c.comp, keys, c.steps)
+			}
 		})
 	}
 }

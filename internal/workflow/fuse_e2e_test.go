@@ -9,8 +9,10 @@ import (
 
 	"repro/internal/components"
 	"repro/internal/fault"
+	"repro/internal/flexpath"
 	"repro/internal/obs"
 	"repro/internal/obs/tracetest"
+	"repro/internal/sb"
 
 	_ "repro/internal/sim/gtcp"
 	_ "repro/internal/sim/lammps"
@@ -175,6 +177,59 @@ func TestFusionPreservesSpans(t *testing.T) {
 	// The elided stream carries no broker traffic, but its component
 	// spans above prove the stages still ran — fusion trades transport,
 	// not visibility.
+}
+
+// TestStageStepContainsInputRelease checks the trace's ring order per
+// (rank, step): a map stage's stage.step span settles after the input
+// release, so reader.release is emitted before it — for an unfused
+// stage (select, magnitude) and for the last part of a fused chain
+// (magnitude in select+magnitude), whose step ends the chain's step.
+func TestStageStepContainsInputRelease(t *testing.T) {
+	const steps, procs = 4, 2
+	noteIs := func(name string) tracetest.Pred {
+		return func(s obs.Span) bool { return s.Note == name }
+	}
+	cases := []struct {
+		name string
+		fuse bool
+		// release names the stream whose release each stage.step of
+		// component must follow.
+		release map[string]string
+	}{
+		{"unfused", false, map[string]string{"select": "dump.custom.fp", "magnitude": "lmpselect.fp"}},
+		{"fused", true, map[string]string{"magnitude": "dump.custom.fp"}},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			spec := lammpsWorkflowSpec(newHistT(t, "velos.fp", "velocities", "16"))
+			if c.fuse {
+				spec = fuseSpecT(t, spec).Spec
+			}
+			broker := flexpath.NewBroker()
+			tr := obs.NewTracer(0)
+			broker.SetObserver(tr, nil)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if _, err := Run(ctx, sb.Fabric{T: flexpath.InProc{B: broker}}, spec, Options{Tracer: tr}); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Dropped() != 0 {
+				t.Fatalf("tracer dropped %d spans; emit-order assertions would be unsound", tr.Dropped())
+			}
+			spans := tracetest.FromTracer(tr)
+			for comp, stream := range c.release {
+				for rank := 0; rank < procs; rank++ {
+					for step := 0; step < steps; step++ {
+						at := tracetest.And(tracetest.ByRank(rank), tracetest.AtStep(step))
+						tracetest.ExpectAllBefore(t, spans,
+							tracetest.And(tracetest.OfKind(obs.KindReaderRelease), tracetest.OnStream(stream), at),
+							tracetest.And(tracetest.OfKind(obs.KindStageStep), noteIs(comp), at))
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestFusedStageRestart injects reader-side faults into a workflow

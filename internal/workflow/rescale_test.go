@@ -55,9 +55,7 @@ func (p *pacedProducer) Run(env *sb.Env) error {
 		if err := w.EndStep(env.Ctx()); err != nil {
 			return err
 		}
-		if env.Metrics != nil {
-			env.Metrics.RecordStep(s, time.Since(start), 0, int64(8*block.Size()))
-		}
+		env.Metrics.RecordStep(s, time.Since(start), 0, int64(8*block.Size()))
 	}
 	return nil
 }

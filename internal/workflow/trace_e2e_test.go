@@ -34,10 +34,10 @@ import (
 // not resume-aware; the restart machinery under test lives in the
 // supervised consumer stages.
 func TestTraceProvesPipelineGuarantees(t *testing.T) {
-	// Magnitude and histogram run single-rank: restarting a multi-rank
-	// stage after one rank already finished cleanly (sealing its writer
-	// slot) is not restartable, and an injected fault replacing a rank's
-	// clean EOF makes that window easy to hit at these error rates.
+	// Magnitude and histogram run single-rank: each extra reader rank
+	// adds fault draws per step, and at these error rates a consumer
+	// that restarts that often can stall the producer past its step
+	// timeout — and the lammps driver is not resume-aware.
 	const (
 		steps     = 8
 		simProcs  = 2
@@ -58,7 +58,7 @@ func TestTraceProvesPipelineGuarantees(t *testing.T) {
 			{Component: "histogram", Args: []string{"mag.fp", "mag", "8", histPath}, Procs: histProcs},
 		},
 	}
-	ft := fault.New(sb.BrokerTransport{Broker: broker}, fault.Plan{
+	ft := fault.New(sb.Fabric{T: flexpath.InProc{B: broker}}, fault.Plan{
 		Seed:      20250805,
 		ErrRate:   0.18,
 		ResetRate: 0.05,

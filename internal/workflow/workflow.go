@@ -200,7 +200,7 @@ type Result struct {
 // happened.
 func (r *Result) Metrics(component string) *sb.Metrics {
 	for _, st := range r.Stages {
-		if st.Metrics != nil && st.Metrics.Component() == component {
+		if st.Metrics.Component() == component {
 			return st.Metrics
 		}
 		for _, m := range st.SubMetrics {
@@ -427,9 +427,10 @@ func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport
 				Interrupt:   interrupt,
 			}
 			runErr := sr.Component.Run(env)
-			// A succeeded rank's handles close immediately (its streams can
-			// end/retire without waiting out slower peers); a failed rank
-			// poisons the set, deferring settlement to the supervisor below.
+			// A succeeded rank's readers close immediately (they stop gating
+			// retirement for slower peers; its writers wait for Finish); a
+			// failed rank poisons the set, deferring settlement to the
+			// supervisor below.
 			handles.FinishRank(env, runErr)
 			return runErr
 		})
