@@ -10,14 +10,20 @@ COVER_FLOOR_controlplane ?= 85.0
 # default make the whole smoke about ten seconds.
 FUZZTIME ?= 1s
 
-.PHONY: check build test vet race chaos bench cover conformance plan recover replay corpus rescale
+.PHONY: check build test vet race chaos bench cover conformance plan recover replay corpus rescale perfbench
 
 # The full pre-merge gate: static checks, build, the race-enabled test
 # suite, the backend conformance matrix, coverage floors, plan-output
 # snapshots, crash-recovery drills, the offline-replay self-diff, the
-# golden-corpus regression gate, the elastic-rescale drills, and a
-# short fuzz round of every fuzz target.
-check: vet build race conformance cover plan recover replay corpus rescale
+# golden-corpus regression gate, the elastic-rescale drills, a short
+# fuzz round of every fuzz target, and the benchmark module's build.
+check: vet build race conformance cover plan recover replay corpus rescale perfbench
+
+# The repo benchmark is its own module (repro/perfbench), so ./... above
+# skips it; vet and test it against the packages it compiles with.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Golden snapshots of `sbrun -explain` for the example workflows. The
 # plan rendering is a user-facing contract; refresh intentionally with:
@@ -104,7 +110,7 @@ corpus:
 
 # The fault-injection suite on its own (seeded, deterministic plans).
 chaos:
-	$(GO) test ./internal/workflow -run TestChaos -v
+	$(GO) test -race -count=1 ./internal/workflow -run TestChaos -v
 
 # The durable-log crash drills under the race detector: broker state
 # rebuilt from the journal, catch-up replay, and the kill-and-restart

@@ -94,7 +94,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	metrics := sb.NewMetrics(comp.Name(), *procs)
+	metrics := sb.NewMetrics(comp.Name())
 	err = mpi.RunCtx(ctx, *procs, func(comm *mpi.Comm) error {
 		env := &sb.Env{
 			Comm:       comm,

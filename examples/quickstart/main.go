@@ -56,13 +56,7 @@ func (p *producer) Run(env *sb.Env) error {
 		for i := range buf {
 			buf[i] = rng.NormFloat64() * spread
 		}
-		if err := w.BeginStep(); err != nil {
-			return err
-		}
-		if err := w.Write("cloud", globalDims, box, buf); err != nil {
-			return err
-		}
-		if err := w.EndStep(env.Ctx()); err != nil {
+		if _, err := sb.PublishStep(env.Ctx(), w, step, "cloud", globalDims, box, buf); err != nil {
 			return err
 		}
 	}

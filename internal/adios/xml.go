@@ -6,6 +6,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/ndarray"
 )
@@ -157,6 +158,52 @@ func LoadConfig(path string) (*Config, error) {
 		return nil, err
 	}
 	return ParseConfig(data)
+}
+
+// embedded caches each embedded config text's parse, keyed by the text.
+var (
+	embeddedMu sync.Mutex
+	embedded   = map[string]*parsedConfig{}
+)
+
+type parsedConfig struct {
+	cfg *Config
+	err error
+}
+
+// EmbeddedGroup returns the declaration of group from an instrumented
+// simulation's embedded config text, with the variable from renamed to
+// the run-time array name to, plus the method's queue depth. Each
+// config text is parsed once; the declaration returned is a copy, so a
+// rename never reaches the cached parse.
+func EmbeddedGroup(xmlText, group, from, to string) (*Group, int, error) {
+	embeddedMu.Lock()
+	p, ok := embedded[xmlText]
+	if !ok {
+		p = &parsedConfig{}
+		p.cfg, p.err = ParseConfig([]byte(xmlText))
+		embedded[xmlText] = p
+	}
+	embeddedMu.Unlock()
+	if p.err != nil {
+		return nil, 0, fmt.Errorf("embedded config: %w", p.err)
+	}
+	g := p.cfg.Group(group)
+	if g == nil {
+		return nil, 0, fmt.Errorf("embedded config lacks group %q", group)
+	}
+	renamed := *g
+	renamed.Vars = append([]VarDef(nil), g.Vars...)
+	for i := range renamed.Vars {
+		if renamed.Vars[i].Name == from {
+			renamed.Vars[i].Name = to
+		}
+	}
+	depth := 0
+	if m := p.cfg.Method(group); m != nil {
+		depth = m.QueueDepth()
+	}
+	return &renamed, depth, nil
 }
 
 // Group returns the named group, or nil.

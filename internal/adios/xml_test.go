@@ -117,3 +117,29 @@ func TestMethodParams(t *testing.T) {
 		t.Fatal("unparseable queue size should fall back to 0")
 	}
 }
+
+func TestEmbeddedGroupParsesOnce(t *testing.T) {
+	g, depth, err := EmbeddedGroup(sampleXML, "particles", "atoms", "velocities")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if depth != 4 || g.Var("velocities") == nil {
+		t.Fatalf("depth %d, vars %+v", depth, g.Vars)
+	}
+	cached := embedded[sampleXML]
+	if _, _, err := EmbeddedGroup(sampleXML, "particles", "atoms", "atoms"); err != nil {
+		t.Fatal(err)
+	}
+	if embedded[sampleXML] != cached {
+		t.Fatal("second call re-parsed the config")
+	}
+	if cached.cfg.Group("particles").Var("atoms") == nil {
+		t.Fatal("rename reached the cached parse")
+	}
+	if _, _, err := EmbeddedGroup(sampleXML, "nope", "atoms", "x"); err == nil {
+		t.Fatal("missing group accepted")
+	}
+	if _, _, err := EmbeddedGroup("<adios-config>", "particles", "atoms", "x"); err == nil {
+		t.Fatal("malformed config accepted")
+	}
+}

@@ -62,8 +62,6 @@ func (c *Concat) Name() string { return "concat" }
 // axis, and publishes the joined block: the output box equals the
 // partition box with the concat extent widened to the sum of the inputs.
 func (c *Concat) Run(env *sb.Env) error {
-	env.Metrics.MarkStarted()
-	defer env.Metrics.MarkFinished()
 	r1, err := env.OpenReader(c.InStream1)
 	if err != nil {
 		return fmt.Errorf("concat: attaching reader to %q: %w", c.InStream1, err)
@@ -91,7 +89,6 @@ func (c *Concat) Run(env *sb.Env) error {
 		return fmt.Errorf("concat: resuming %q: %w", c.InStream2, err)
 	}
 
-	rank, size := env.Comm.Rank(), env.Comm.Size()
 	for {
 		step := r1.NextStep() // absolute: a re-attached reader resumes mid-stream
 		info1, err1 := r1.BeginStep(env.Ctx())
@@ -136,15 +133,11 @@ func (c *Concat) Run(env *sb.Env) error {
 					step, i, v1.Dims[i].Size, v2.Dims[i].Size)
 			}
 		}
-		axis, err := sb.ChooseAxis(c.Policy, v1.Shape(), c.Axis)
+		in1, err := sb.ReadPartition(env.Ctx(), env, r1, info1, c.InArray1, c.Policy, c)
 		if err != nil {
 			return fmt.Errorf("concat: step %d: %w", step, err)
 		}
-		box := ndarray.PartitionAlong(v1.Shape(), axis, size, rank)
-		b1, err := r1.ReadBox(env.Ctx(), c.InArray1, box)
-		if err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
-		}
+		b1, box := in1.Block, in1.Box
 		box2 := box.Clone()
 		box2.Counts[c.Axis] = v2.Dims[c.Axis].Size
 		b2raw, err := r2.ReadBox(env.Ctx(), c.InArray2, box2)
@@ -171,21 +164,8 @@ func (c *Concat) Run(env *sb.Env) error {
 
 		// A restart between the publish and the input releases leaves the
 		// resumed writer already holding this step.
-		if w.Steps() <= step {
-			if err := w.BeginStep(); err != nil {
-				return err
-			}
-			for k, val := range info1.Attrs {
-				if err := w.SetAttribute(k, val); err != nil {
-					return err
-				}
-			}
-			if err := w.Write(c.OutArray, outDims, outBox, joined.Data()); err != nil {
-				return fmt.Errorf("concat: step %d: %w", step, err)
-			}
-			if err := w.EndStep(env.Ctx()); err != nil {
-				return fmt.Errorf("concat: step %d: %w", step, err)
-			}
+		if _, err := sb.PublishStep(env.Ctx(), w, step, c.OutArray, outDims, outBox, joined.Data(), info1.Attrs); err != nil {
+			return fmt.Errorf("concat: step %d: %w", step, err)
 		}
 		if err := r1.EndStep(); err != nil {
 			return err
@@ -196,6 +176,12 @@ func (c *Concat) Run(env *sb.Env) error {
 		in := int64((b1.Size() + b2.Size()) * 8)
 		env.Metrics.RecordStep(step, time.Since(begin), in, int64(joined.Size()*8))
 	}
+}
+
+// ReservedAxes implements sb.AxisReserver: the first input is
+// partitioned along any axis but the concatenation axis.
+func (c *Concat) ReservedAxes(*adios.GlobalVar, *adios.StepInfo) ([]int, error) {
+	return []int{c.Axis}, nil
 }
 
 // skipTo releases r's steps below step without reading their data. An

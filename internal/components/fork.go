@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/adios"
-	"repro/internal/ndarray"
 	"repro/internal/sb"
 )
 
@@ -45,8 +44,6 @@ func (f *Fork) Name() string { return "fork" }
 
 // Run implements sb.Component.
 func (f *Fork) Run(env *sb.Env) error {
-	env.Metrics.MarkStarted()
-	defer env.Metrics.MarkFinished()
 	r, err := env.OpenReader(f.InStream)
 	if err != nil {
 		return fmt.Errorf("fork: attaching reader to %q: %w", f.InStream, err)
@@ -61,7 +58,6 @@ func (f *Fork) Run(env *sb.Env) error {
 		defer w.Close()
 		writers[i] = w
 	}
-	rank, size := env.Comm.Rank(), env.Comm.Size()
 	for {
 		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
 		info, err := r.BeginStep(env.Ctx())
@@ -72,44 +68,21 @@ func (f *Fork) Run(env *sb.Env) error {
 			return fmt.Errorf("fork: step %d: %w", step, err)
 		}
 		begin := time.Now() // active time: excludes waiting for the producer
-		v, ok := info.Var(f.InArray)
-		if !ok {
-			return fmt.Errorf("fork: step %d of stream %q has no array %q", step, f.InStream, f.InArray)
-		}
-		axis, err := sb.ChooseAxis(sb.PartitionFirstFree, v.Shape())
+		in, err := sb.ReadPartition(env.Ctx(), env, r, info, f.InArray, sb.PartitionFirstFree, nil)
 		if err != nil {
 			return fmt.Errorf("fork: step %d: %w", step, err)
 		}
-		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
-		block, err := r.ReadBox(env.Ctx(), f.InArray, box)
-		if err != nil {
-			return fmt.Errorf("fork: step %d: %w", step, err)
-		}
+		// A restart between one output's publish and the input release
+		// finds that output's resumed writer already holding the step.
 		for wi, w := range writers {
-			if w.Steps() > step {
-				// A restart between this output's publish and the input
-				// release: the resumed writer already has the step.
-				continue
-			}
-			if err := w.BeginStep(); err != nil {
-				return fmt.Errorf("fork: step %d out %d: %w", step, wi, err)
-			}
-			for k, val := range info.Attrs {
-				if err := w.SetAttribute(k, val); err != nil {
-					return err
-				}
-			}
-			if err := w.Write(f.InArray, v.Dims, box, block.Data()); err != nil {
-				return fmt.Errorf("fork: step %d out %d: %w", step, wi, err)
-			}
-			if err := w.EndStep(env.Ctx()); err != nil {
+			if _, err := sb.PublishStep(env.Ctx(), w, step, f.InArray, in.Var.Dims, in.Box, in.Block.Data(), info.Attrs); err != nil {
 				return fmt.Errorf("fork: step %d out %d: %w", step, wi, err)
 			}
 		}
 		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("fork: step %d: %w", step, err)
 		}
-		n := int64(block.Size() * 8)
+		n := int64(in.Block.Size() * 8)
 		env.Metrics.RecordStep(step, time.Since(begin), n, n*int64(len(writers)))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/ndarray"
 	"repro/internal/sb"
 )
 
@@ -55,8 +54,6 @@ func (s *StepSample) Name() string { return "step-sample" }
 // without fetching their payload, which is the point — the transport
 // retires them with no data movement beyond metadata.
 func (s *StepSample) Run(env *sb.Env) error {
-	env.Metrics.MarkStarted()
-	defer env.Metrics.MarkFinished()
 	r, err := env.OpenReader(s.InStream)
 	if err != nil {
 		return fmt.Errorf("step-sample: attaching reader to %q: %w", s.InStream, err)
@@ -68,7 +65,6 @@ func (s *StepSample) Run(env *sb.Env) error {
 	}
 	defer w.Close()
 
-	rank, size := env.Comm.Rank(), env.Comm.Size()
 	for {
 		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
 		info, err := r.BeginStep(env.Ctx())
@@ -87,37 +83,17 @@ func (s *StepSample) Run(env *sb.Env) error {
 			continue
 		}
 		begin := time.Now()
-		v, ok := info.Var(s.InArray)
-		if !ok {
-			return fmt.Errorf("step-sample: step %d of stream %q has no array %q", step, s.InStream, s.InArray)
-		}
-		axis, err := sb.ChooseAxis(s.Policy, v.Shape())
+		in, err := sb.ReadPartition(env.Ctx(), env, r, info, s.InArray, s.Policy, nil)
 		if err != nil {
 			return fmt.Errorf("step-sample: step %d: %w", step, err)
 		}
-		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
-		block, err := r.ReadBox(env.Ctx(), s.InArray, box)
-		if err != nil {
-			return fmt.Errorf("step-sample: step %d: %w", step, err)
-		}
-		if err := w.BeginStep(); err != nil {
-			return err
-		}
-		for k, val := range info.Attrs {
-			if err := w.SetAttribute(k, val); err != nil {
-				return err
-			}
-		}
-		if err := w.Write(s.OutArray, v.Dims, box, block.Data()); err != nil {
-			return fmt.Errorf("step-sample: step %d: %w", step, err)
-		}
-		if err := w.EndStep(env.Ctx()); err != nil {
+		if _, err := sb.PublishStep(env.Ctx(), w, step/s.Stride, s.OutArray, in.Var.Dims, in.Box, in.Block.Data(), info.Attrs); err != nil {
 			return fmt.Errorf("step-sample: step %d: %w", step, err)
 		}
 		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("step-sample: step %d: %w", step, err)
 		}
-		n := int64(block.Size() * 8)
+		n := int64(in.Block.Size() * 8)
 		env.Metrics.RecordStep(step, time.Since(begin), n, n)
 	}
 }

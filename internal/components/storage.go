@@ -50,10 +50,10 @@ func NewFileWriter(args []string) (sb.Component, error) {
 func (f *FileWriter) Name() string { return "file-writer" }
 
 // Run implements sb.Component: each rank persists its own partition of
-// every step, preserving the self-describing metadata.
+// every step, preserving the self-describing metadata. Files are named
+// by the stream's absolute step, so a restarted rank that resumes
+// mid-stream rewrites, at worst, the very files it wrote before.
 func (f *FileWriter) Run(env *sb.Env) error {
-	env.Metrics.MarkStarted()
-	defer env.Metrics.MarkFinished()
 	if env.Comm.Rank() == 0 {
 		if err := os.MkdirAll(f.Dir, 0o755); err != nil {
 			return fmt.Errorf("file-writer: %w", err)
@@ -67,8 +67,8 @@ func (f *FileWriter) Run(env *sb.Env) error {
 		return fmt.Errorf("file-writer: attaching reader to %q: %w", f.InStream, err)
 	}
 	defer r.Close()
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; ; step++ {
+	for {
+		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
 		info, err := r.BeginStep(env.Ctx())
 		if errors.Is(err, io.EOF) {
 			return nil
@@ -77,32 +77,23 @@ func (f *FileWriter) Run(env *sb.Env) error {
 			return fmt.Errorf("file-writer: step %d: %w", step, err)
 		}
 		begin := time.Now() // active time: excludes waiting for the producer
-		v, ok := info.Var(f.InArray)
-		if !ok {
-			return fmt.Errorf("file-writer: step %d of stream %q has no array %q", step, f.InStream, f.InArray)
-		}
-		axis, err := sb.ChooseAxis(sb.PartitionFirstFree, v.Shape())
-		if err != nil {
-			return fmt.Errorf("file-writer: step %d: %w", step, err)
-		}
-		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
-		block, err := r.ReadBox(env.Ctx(), f.InArray, box)
+		in, err := sb.ReadPartition(env.Ctx(), env, r, info, f.InArray, sb.PartitionFirstFree, nil)
 		if err != nil {
 			return fmt.Errorf("file-writer: step %d: %w", step, err)
 		}
 		meta := adios.EncodeMeta(&adios.BlockMeta{
 			Step:  step,
-			Vars:  []adios.VarMeta{{Name: f.InArray, GlobalDims: v.Dims, Box: box}},
+			Vars:  []adios.VarMeta{{Name: f.InArray, GlobalDims: in.Var.Dims, Box: in.Box}},
 			Attrs: info.Attrs,
 		})
-		payload := adios.EncodePayload([]string{f.InArray}, [][]float64{block.Data()})
-		if err := writeStepFile(stepFilePath(f.Dir, step, rank), meta, payload); err != nil {
+		payload := adios.EncodePayload([]string{f.InArray}, [][]float64{in.Block.Data()})
+		if err := writeStepFile(stepFilePath(f.Dir, step, env.Comm.Rank()), meta, payload); err != nil {
 			return fmt.Errorf("file-writer: step %d: %w", step, err)
 		}
 		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("file-writer: step %d: %w", step, err)
 		}
-		n := int64(block.Size() * 8)
+		n := int64(in.Block.Size() * 8)
 		env.Metrics.RecordStep(step, time.Since(begin), n, n)
 	}
 }
@@ -128,10 +119,9 @@ func (f *FileReader) Name() string { return "file-reader" }
 // Run implements sb.Component: every rank loads the union of the per-rank
 // block files for each step, assembles the global array, and republishes
 // its own partition — so the replaying group's size is independent of the
-// persisting group's.
+// persisting group's. A restarted rank starts at the step its resumed
+// writer expects next.
 func (f *FileReader) Run(env *sb.Env) error {
-	env.Metrics.MarkStarted()
-	defer env.Metrics.MarkFinished()
 	steps, err := listStepFiles(f.Dir)
 	if err != nil {
 		return fmt.Errorf("file-reader: %w", err)
@@ -142,7 +132,7 @@ func (f *FileReader) Run(env *sb.Env) error {
 	}
 	defer w.Close()
 	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; step < len(steps); step++ {
+	for step := w.Steps(); step < len(steps); step++ {
 		begin := time.Now()
 		global, varName, attrs, err := loadStep(steps[step])
 		if err != nil {
@@ -157,18 +147,7 @@ func (f *FileReader) Run(env *sb.Env) error {
 		if err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
-		if err := w.BeginStep(); err != nil {
-			return err
-		}
-		for k, v := range attrs {
-			if err := w.SetAttribute(k, v); err != nil {
-				return err
-			}
-		}
-		if err := w.Write(varName, global.Dims(), box, block.Data()); err != nil {
-			return fmt.Errorf("file-reader: step %d: %w", step, err)
-		}
-		if err := w.EndStep(env.Ctx()); err != nil {
+		if _, err := sb.PublishStep(env.Ctx(), w, step, varName, global.Dims(), box, block.Data(), attrs); err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
 		n := int64(block.Size() * 8)

@@ -99,8 +99,8 @@ func writeFrame(w io.Writer, op byte, body []byte) error {
 // writeFrameVec writes one frame whose body is the concatenation of
 // parts, without first merging them: the header and every part hit the
 // wire together in a single gathered write (one writev per frame). This
-// is the step-batched coalescing path used by the UDS publish request
-// and the block-fetch response — a full timestep's payload crosses the
+// is the gathered path used by the remote publish request and the
+// block-fetch response — a full timestep's payload crosses the
 // kernel boundary in one syscall with zero payload copies; only the few
 // header bytes are staged in caller scratch. vecs is a caller-owned
 // iovec scratch reused across frames (net.Buffers consumes the slice it

@@ -76,8 +76,9 @@ type ReaderHandle interface {
 
 // ReplayTransport is the optional catch-up capability: backends whose
 // broker carries a durable stream log (AttachLog) can open observer
-// readers positioned at a historical step. Both shipped backends
-// implement it; OpenReaderFrom is the capability-checked entry point.
+// readers positioned at a historical step. All four shipped backends
+// (inproc, tcp, uds, shm) implement it; OpenReaderFrom is the
+// capability-checked entry point.
 type ReplayTransport interface {
 	// OpenReaderFrom opens a catch-up reader on a stream positioned at
 	// step from. The handle replays steps still within the log's
@@ -144,10 +145,10 @@ const (
 	// KindTCP is the TCP broker: one connection per rank handle,
 	// CRC-framed, heartbeat writer leases. Works across hosts.
 	KindTCP = "tcp"
-	// KindUDS is the Unix-domain-socket broker: the same CRC frame codec
-	// as TCP with step-batched frame coalescing (one writev per
-	// published step), for multi-process workflows on one host that
-	// should skip TCP loopback overhead. addr is a socket path.
+	// KindUDS is the Unix-domain-socket broker: the TCP broker protocol
+	// and CRC frame codec over AF_UNIX, for multi-process workflows on
+	// one host that should skip TCP loopback overhead. addr is a socket
+	// path.
 	KindUDS = "uds"
 	// KindShm is the shared-memory broker: a UDS doorbell for control
 	// and metadata plus an mmap'd segment (addr + ".seg") carrying

@@ -10,16 +10,11 @@ import (
 
 // Unix-domain-socket backend: the TCP broker protocol verbatim — same
 // CRC frame codec, same opcode set, same Server loop — carried over
-// AF_UNIX instead of loopback TCP. Two things change for the
-// local-host case. First, the kernel path is cheaper (no pseudo-header
-// checksums, no loopback queueing discipline). Second, the client
-// enables step-batched frame coalescing: each published step leaves
-// the process as one writev of frame header + meta + payload from
-// their original storage, instead of being staged into a contiguous
-// frame buffer first — on a local socket that staging copy is a
-// dominant cost. Server-side, block fetch responses are gathered the
-// same way (see serveReader), so neither direction of the hot path
-// copies payload bytes into connection scratch.
+// AF_UNIX instead of loopback TCP. The local-host kernel path is
+// cheaper (no pseudo-header checksums, no loopback queueing
+// discipline); the hot path is otherwise TCP's, where each published
+// step and each block fetch response leaves the process as one writev
+// from the payload's own storage (see writeFrameVec).
 
 // NewUnixServer starts a broker server on a Unix-domain socket at
 // path. A stale socket file left by a dead broker is replaced; a live

@@ -122,11 +122,11 @@ func (f *Fused) Ports() []Port {
 
 // ensureMetrics creates the per-component collectors once; reg may be
 // nil (no registry mirroring).
-func (f *Fused) ensureMetrics(ranks int, reg *obs.Registry) {
+func (f *Fused) ensureMetrics(reg *obs.Registry) {
 	f.metricsOnce.Do(func() {
 		f.metrics = make([]*Metrics, len(f.parts))
 		for i, p := range f.parts {
-			f.metrics[i] = NewMetrics(p.Cfg.Name, ranks)
+			f.metrics[i] = NewMetrics(p.Cfg.Name)
 			f.metrics[i].BindRegistry(reg)
 		}
 	})
@@ -136,8 +136,8 @@ func (f *Fused) ensureMetrics(ranks int, reg *obs.Registry) {
 // to the registry, and returns them in chain order. The workflow runner
 // calls this instead of creating a single stage-level collector, so a
 // fused run still reports comp.<name>.* for every original component.
-func (f *Fused) BindMetrics(ranks int, reg *obs.Registry) []*Metrics {
-	f.ensureMetrics(ranks, reg)
+func (f *Fused) BindMetrics(reg *obs.Registry) []*Metrics {
+	f.ensureMetrics(reg)
 	return f.metrics
 }
 
@@ -152,7 +152,7 @@ func (f *Fused) StageMetrics() []*Metrics { return f.metrics }
 // through a flexpath.Direct exchange (when the downstream kernel
 // partitions along a different axis), never through the broker.
 func (f *Fused) Run(env *Env) error {
-	f.ensureMetrics(env.Comm.Size(), env.Registry)
+	f.ensureMetrics(env.Registry)
 	return runChain(env, f.name, f.parts, f.metrics)
 }
 
@@ -162,14 +162,6 @@ func (f *Fused) Run(env *Env) error {
 // slices are parameters, not fields of a struct, so RunMap's one-part
 // slices can stay on the stack.
 func runChain(env *Env, name string, parts []FusedPart, metrics []*Metrics) error {
-	for _, m := range metrics {
-		m.MarkStarted()
-	}
-	defer func() {
-		for _, m := range metrics {
-			m.MarkFinished()
-		}
-	}()
 	first, last := parts[0].Cfg, parts[len(parts)-1].Cfg
 	r, err := env.OpenReader(first.InStream)
 	if err != nil {
@@ -264,16 +256,17 @@ func runChainStep(env *Env, name string, parts []FusedPart, metrics []*Metrics,
 
 		var in *StepInput
 		if k == 0 {
-			stepInfo, berr := r.BeginStep(ctx)
-			if errors.Is(berr, io.EOF) {
+			stepInfo, rerr := r.BeginStep(ctx)
+			if errors.Is(rerr, io.EOF) {
 				return true, nil
 			}
-			if berr != nil {
-				err = fmt.Errorf("%s: step %d: %w", cfg.Name, step, berr)
-			} else {
+			if rerr == nil {
 				info = stepInfo
 				begin = time.Now()
-				in, err = readInput(env, cfg, part.Kernel, r, ctx, info, step)
+				in, rerr = ReadPartition(ctx, env, r, info, cfg.InArray, cfg.Policy, part.Kernel)
+			}
+			if rerr != nil {
+				err = fmt.Errorf("%s: step %d: %w", cfg.Name, step, rerr)
 			}
 		} else {
 			info = handoffInfo(&parts[k-1].Cfg, info, out, step)
@@ -290,7 +283,11 @@ func runChainStep(env *Env, name string, parts []FusedPart, metrics []*Metrics,
 		if err == nil {
 			bytesOut = int64(len(out.Data) * 8)
 			if k == lastPart {
-				if perr := publishOutput(env, cfg, w, ctx, step, info.Attrs, out); perr != nil {
+				var upstream map[string]string
+				if cfg.ForwardAttrs {
+					upstream = info.Attrs
+				}
+				if _, perr := PublishStep(ctx, w, step, cfg.OutArray, out.GlobalDims, out.Box, out.Data, upstream, out.Attrs); perr != nil {
 					err = fmt.Errorf("%s: step %d: %w", cfg.Name, step, perr)
 				} else if rerr := r.EndStep(); rerr != nil {
 					err = fmt.Errorf("%s: step %d: %w", name, step, rerr)
@@ -312,26 +309,6 @@ func runChainStep(env *Env, name string, parts []FusedPart, metrics []*Metrics,
 		metrics[k].RecordStep(step, time.Since(begin), bytesIn, bytesOut)
 	}
 	return false, nil
-}
-
-// readInput reads this rank's partition of the chain's first input from
-// the real stream.
-func readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader,
-	ctx context.Context, info *adios.StepInfo, step int) (*StepInput, error) {
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	v, ok := info.Var(cfg.InArray)
-	if !ok {
-		return nil, fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
-	}
-	box, err := partitionFor(kernel, cfg.Policy, v, info, size, rank)
-	if err != nil {
-		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-	}
-	block, err := r.ReadBox(ctx, cfg.InArray, box)
-	if err != nil {
-		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-	}
-	return &StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r}, nil
 }
 
 // handoff turns the previous kernel's output into the next kernel's

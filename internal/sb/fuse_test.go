@@ -98,7 +98,7 @@ func TestFusedBindMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := f.BindMetrics(3, nil)
+	ms := f.BindMetrics(nil)
 	if len(ms) != 2 {
 		t.Fatalf("BindMetrics returned %d metrics", len(ms))
 	}
@@ -106,7 +106,7 @@ func TestFusedBindMetrics(t *testing.T) {
 		t.Fatalf("metrics components = %q, %q", ms[0].Component(), ms[1].Component())
 	}
 	// Binding again must return the same instances (one identity per part).
-	again := f.BindMetrics(3, nil)
+	again := f.BindMetrics(nil)
 	if again[0] != ms[0] || again[1] != ms[1] {
 		t.Fatal("BindMetrics is not idempotent")
 	}

@@ -2,6 +2,7 @@ package sb
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/adios"
 	"repro/internal/ndarray"
@@ -39,7 +40,7 @@ type StepOutput struct {
 type MapKernel interface {
 	// ReservedAxes lists input axes that must not be partitioned (for
 	// example, the axis Select filters). May return nil.
-	ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error)
+	AxisReserver
 	// Transform computes this rank's output block from its input block.
 	Transform(in *StepInput) (*StepOutput, error)
 }
@@ -71,25 +72,51 @@ func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
 	return runChain(env, cfg.Name, []FusedPart{{Cfg: cfg, Kernel: kernel}}, []*Metrics{env.Metrics})
 }
 
-// axisReserver is the ReservedAxes method MapKernel and ReduceKernel
-// share.
-type axisReserver interface {
+// AxisReserver names the input axes a component's partition must keep
+// whole — the ReservedAxes method MapKernel and ReduceKernel share.
+type AxisReserver interface {
 	ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error)
 }
 
-// partitionFor computes the box one rank reads of variable v for the
-// given kernel: the kernel reserves axes that must stay whole, the
-// policy picks the partition axis among the rest.
-func partitionFor(kernel axisReserver, policy PartitionPolicy, v *adios.GlobalVar, info *adios.StepInfo, size, rank int) (ndarray.Box, error) {
-	reserved, err := kernel.ReservedAxes(v, info)
+// partitionFor computes the box one rank reads of variable v: the
+// reserver (nil reserves nothing) keeps axes whole, the policy picks the
+// partition axis among the rest.
+func partitionFor(reserve AxisReserver, policy PartitionPolicy, v *adios.GlobalVar, info *adios.StepInfo, size, rank int) (ndarray.Box, error) {
+	var reserved []int
+	if reserve != nil {
+		var err error
+		if reserved, err = reserve.ReservedAxes(v, info); err != nil {
+			return ndarray.Box{}, err
+		}
+	}
+	shape := v.Shape()
+	axis, err := ChooseAxis(policy, shape, reserved...)
 	if err != nil {
 		return ndarray.Box{}, err
 	}
-	axis, err := ChooseAxis(policy, v.Shape(), reserved...)
-	if err != nil {
-		return ndarray.Box{}, err
+	return ndarray.PartitionAlong(shape, axis, size, rank), nil
+}
+
+// ReadPartition is the read half of every component's step: it looks
+// array up in the open step's metadata, splits its global shape across
+// env's communicator along the axis policy picks among those reserve
+// leaves whole (nil reserves nothing), and reads this rank's box from
+// r. The input keeps r for kernels that read beyond their partition.
+func ReadPartition(ctx context.Context, env *Env, r *adios.Reader, info *adios.StepInfo,
+	array string, policy PartitionPolicy, reserve AxisReserver) (*StepInput, error) {
+	v, ok := info.Var(array)
+	if !ok {
+		return nil, fmt.Errorf("input has no array %q", array)
 	}
-	return PartitionBox(v.Shape(), axis, size, rank), nil
+	box, err := partitionFor(reserve, policy, v, info, env.Comm.Size(), env.Comm.Rank())
+	if err != nil {
+		return nil, err
+	}
+	block, err := r.ReadBox(ctx, array, box)
+	if err != nil {
+		return nil, err
+	}
+	return &StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r}, nil
 }
 
 // transformKernel runs one kernel Transform with its kernel.transform
@@ -113,34 +140,35 @@ func transformKernel(env *Env, name, stream string, kernel MapKernel, stepSpan o
 	return out, err
 }
 
-// publishOutput republishes one kernel output downstream with
-// exactly-once semantics: a restarted rank that crashed between
-// publishing step N and releasing its input re-reads step N but must
-// not publish it twice — the resumed writer is already past it.
-// upstreamAttrs are forwarded first when the config asks for it, then
-// the kernel's own attributes override.
-func publishOutput(env *Env, cfg MapConfig, w *adios.Writer, ctx context.Context, step int,
-	upstreamAttrs map[string]string, out *StepOutput) error {
+// PublishStep is the publish half of every component's and
+// simulation's step: it writes this rank's block of array — its global
+// layout, box and data, as adios.Writer.Write takes them — as step step
+// of w's stream, exactly once. A restarted rank re-arrives at steps its
+// previous incarnation already published (a component that crashed
+// between publishing step N and releasing its input re-reads step N; a
+// simulation recomputes from its seed), but the resumed writer is past
+// them, so PublishStep publishes nothing and reports false. attrs are
+// set in order, so a later map overrides an earlier one.
+func PublishStep(ctx context.Context, w *adios.Writer, step int, array string,
+	globalDims []ndarray.Dim, box ndarray.Box, data []float64, attrs ...map[string]string) (bool, error) {
 	if w.Steps() > step {
-		return nil
+		return false, nil
 	}
 	if err := w.BeginStep(); err != nil {
-		return err
+		return false, err
 	}
-	if cfg.ForwardAttrs {
-		for k, val := range upstreamAttrs {
+	for _, m := range attrs {
+		for k, val := range m {
 			if err := w.SetAttribute(k, val); err != nil {
-				return err
+				return false, err
 			}
 		}
 	}
-	for k, val := range out.Attrs {
-		if err := w.SetAttribute(k, val); err != nil {
-			return err
-		}
+	if err := w.Write(array, globalDims, box, data); err != nil {
+		return false, err
 	}
-	if err := w.Write(cfg.OutArray, out.GlobalDims, out.Box, out.Data); err != nil {
-		return err
+	if err := w.EndStep(ctx); err != nil {
+		return false, err
 	}
-	return w.EndStep(ctx)
+	return true, nil
 }

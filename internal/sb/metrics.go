@@ -11,8 +11,7 @@ import (
 // Metrics collects per-timestep measurements from every rank of one
 // component. It is safe for concurrent use by all rank goroutines. Like
 // the obs instruments it is nil-safe where callers record or look it up
-// (MarkStarted, MarkFinished, RecordStep, SetRanks, Component), so a
-// component records unconditionally. The
+// (RecordStep, Component), so a component records unconditionally. The
 // evaluation section of the paper reports exactly these quantities:
 // per-component timestep completion times "averaged over the component's
 // communicator" (§V-B) and per-process throughputs derived from them.
@@ -20,9 +19,6 @@ type Metrics struct {
 	mu        sync.Mutex
 	component string
 	steps     map[int]*stepAgg
-	started   time.Time
-	finished  time.Time
-	ranks     int
 
 	// Registry mirrors (see BindRegistry); nil instruments are no-ops,
 	// so an unbound collector pays nothing extra per RecordStep.
@@ -39,10 +35,9 @@ type stepAgg struct {
 	bytesOut int64
 }
 
-// NewMetrics creates a collector for a component with the given name and
-// rank count.
-func NewMetrics(component string, ranks int) *Metrics {
-	return &Metrics{component: component, steps: map[int]*stepAgg{}, ranks: ranks}
+// NewMetrics creates a collector for a component with the given name.
+func NewMetrics(component string) *Metrics {
+	return &Metrics{component: component, steps: map[int]*stepAgg{}}
 }
 
 // Component returns the component name the collector belongs to ("" for
@@ -52,21 +47,6 @@ func (m *Metrics) Component() string {
 		return ""
 	}
 	return m.component
-}
-
-// Ranks returns the size of the component's communicator.
-func (m *Metrics) Ranks() int { return m.ranks }
-
-// SetRanks records a new communicator size after an elastic rescale, so
-// per-rank normalization in reports reflects the size the remaining
-// steps actually ran at.
-func (m *Metrics) SetRanks(n int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.ranks = n
-	m.mu.Unlock()
 }
 
 // BindRegistry makes the collector mirror every RecordStep into registry
@@ -85,29 +65,6 @@ func (m *Metrics) BindRegistry(r *obs.Registry) {
 	m.regBytesOut = r.Counter(p + "bytes_out")
 	m.regStepNs = r.Histogram(p + "step_ns")
 	m.mu.Unlock()
-}
-
-// MarkStarted records the wall-clock start of the component (first rank
-// to arrive wins).
-func (m *Metrics) MarkStarted() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.started.IsZero() {
-		m.started = time.Now()
-	}
-}
-
-// MarkFinished records the wall-clock end (last rank to finish wins).
-func (m *Metrics) MarkFinished() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.finished = time.Now()
 }
 
 // RecordStep adds one rank's measurement of one timestep: how long the
@@ -192,17 +149,6 @@ func (m *Metrics) Steps() []StepStats {
 		out = append(out, m.statsLocked(s, m.steps[s]))
 	}
 	return out
-}
-
-// Elapsed returns the wall-clock lifetime of the component: first rank
-// start to last rank finish. Zero until both marks exist.
-func (m *Metrics) Elapsed() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.started.IsZero() || m.finished.IsZero() {
-		return 0
-	}
-	return m.finished.Sub(m.started)
 }
 
 // TotalBytesIn sums input bytes over all steps and ranks.

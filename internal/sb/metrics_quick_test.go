@@ -29,7 +29,7 @@ func (metricSample) Generate(r *rand.Rand, _ int) reflect.Value {
 }
 
 func recordAll(samples []metricSample) *Metrics {
-	m := NewMetrics("quick", 4)
+	m := NewMetrics("quick")
 	for _, s := range samples {
 		m.RecordStep(s.Step, s.Dur, s.BytesIn, s.BytesOut)
 	}
@@ -54,7 +54,7 @@ func TestMetricsOrderInvariance(t *testing.T) {
 
 		// Concurrent ranks: round-robin the samples over four goroutines
 		// and let the scheduler pick the interleaving.
-		m := NewMetrics("quick", 4)
+		m := NewMetrics("quick")
 		var wg sync.WaitGroup
 		for rank := 0; rank < 4; rank++ {
 			wg.Add(1)

@@ -1,10 +1,6 @@
 package sb
 
-import (
-	"fmt"
-
-	"repro/internal/ndarray"
-)
+import "fmt"
 
 // PartitionPolicy selects which axis of an incoming global array a
 // component splits across its ranks. The paper's components partition
@@ -56,10 +52,4 @@ func ChooseAxis(policy PartitionPolicy, shape []int, reserved ...int) (int, erro
 		return 0, fmt.Errorf("sb: unknown partition policy %d", policy)
 	}
 	return 0, fmt.Errorf("sb: no partitionable axis in rank-%d array (reserved %v)", len(shape), reserved)
-}
-
-// PartitionBox computes the bounding box rank of nranks owns when a
-// global shape is split along axis.
-func PartitionBox(shape []int, axis, nranks, rank int) ndarray.Box {
-	return ndarray.PartitionAlong(shape, axis, nranks, rank)
 }

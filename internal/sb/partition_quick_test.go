@@ -77,7 +77,7 @@ func TestPartitionBoxTilesExactlyOnce(t *testing.T) {
 		boxes := make([]ndarray.Box, cfg.nranks)
 		total := 0
 		for rank := range boxes {
-			boxes[rank] = PartitionBox(cfg.shape, axis, cfg.nranks, rank)
+			boxes[rank] = ndarray.PartitionAlong(cfg.shape, axis, cfg.nranks, rank)
 			if err := boxes[rank].ValidIn(cfg.shape); err != nil {
 				t.Logf("rank %d box %v invalid in %v: %v", rank, boxes[rank], cfg.shape, err)
 				return false

@@ -5,19 +5,17 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"repro/internal/adios"
 )
 
 // ReduceKernel is the contract for endpoint components (Histogram, Stats
 // and kin): a per-rank reduction over the rank's partition that
 // cooperates through the communicator and yields one global result per
 // timestep. Reduce must be called collectively (every rank, every step);
-// the returned value is consumed on rank 0 only. ReservedAxes has the
-// same signature as MapKernel's, so a type can serve both loops.
+// the returned value is consumed on rank 0 only. Both kernel kinds are
+// AxisReservers, so a type can serve both loops.
 type ReduceKernel[T any] interface {
 	// ReservedAxes lists input axes that must not be partitioned.
-	ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error)
+	AxisReserver
 	// Reduce combines this rank's block into the step's global result.
 	Reduce(in *StepInput) (T, error)
 }
@@ -46,15 +44,12 @@ type ReduceConfig[T any] struct {
 // for every timestep, read this rank's partition, run the collective
 // reduction, deliver the result on rank 0 — until the input stream ends.
 func RunReduce[T any](env *Env, cfg ReduceConfig[T], kernel ReduceKernel[T]) error {
-	env.Metrics.MarkStarted()
-	defer env.Metrics.MarkFinished()
 	r, err := env.OpenReader(cfg.InStream)
 	if err != nil {
 		return fmt.Errorf("%s: attaching reader to %q: %w", cfg.Name, cfg.InStream, err)
 	}
 	defer r.Close()
 
-	rank, size := env.Comm.Rank(), env.Comm.Size()
 	for {
 		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
 		info, err := r.BeginStep(env.Ctx())
@@ -65,27 +60,19 @@ func RunReduce[T any](env *Env, cfg ReduceConfig[T], kernel ReduceKernel[T]) err
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 		}
 		begin := time.Now() // active time: excludes waiting for the producer
-		v, ok := info.Var(cfg.InArray)
-		if !ok {
-			return fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
-		}
-		if cfg.RequireDims > 0 && len(v.Dims) != cfg.RequireDims {
+		if v, ok := info.Var(cfg.InArray); ok && cfg.RequireDims > 0 && len(v.Dims) != cfg.RequireDims {
 			return fmt.Errorf("%s: expects %d-dimensional data, got %d dimensions in %q",
 				cfg.Name, cfg.RequireDims, len(v.Dims), v.Name)
 		}
-		box, err := partitionFor(kernel, cfg.Policy, v, info, size, rank)
+		in, err := ReadPartition(env.Ctx(), env, r, info, cfg.InArray, cfg.Policy, kernel)
 		if err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 		}
-		block, err := r.ReadBox(env.Ctx(), cfg.InArray, box)
+		result, err := kernel.Reduce(in)
 		if err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 		}
-		result, err := kernel.Reduce(&StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r})
-		if err != nil {
-			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-		}
-		if rank == 0 && cfg.OnResult != nil {
+		if env.Comm.Rank() == 0 && cfg.OnResult != nil {
 			if err := cfg.OnResult(step, result); err != nil {
 				return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 			}
@@ -93,6 +80,6 @@ func RunReduce[T any](env *Env, cfg ReduceConfig[T], kernel ReduceKernel[T]) err
 		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 		}
-		env.Metrics.RecordStep(step, time.Since(begin), int64(block.Size()*8), cfg.OutBytes)
+		env.Metrics.RecordStep(step, time.Since(begin), int64(in.Block.Size()*8), cfg.OutBytes)
 	}
 }

@@ -19,7 +19,9 @@
 // partitioned block, transform it locally, republish. Its step loop is
 // the fused chain runner's (fuse.go) with a single kernel. Components with
 // different shapes (Histogram's reduction to a file, the all-in-one
-// baseline) implement Component directly.
+// baseline) implement Component directly. Every step loop, simulations'
+// included, reads through ReadPartition and publishes through
+// PublishStep, which carries the exactly-once guard for restarts.
 package sb
 
 import (

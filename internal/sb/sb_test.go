@@ -60,8 +60,8 @@ func TestChooseAxisUnknownPolicy(t *testing.T) {
 }
 
 func TestMetricsAggregation(t *testing.T) {
-	m := NewMetrics("select", 4)
-	if m.Component() != "select" || m.Ranks() != 4 {
+	m := NewMetrics("select")
+	if m.Component() != "select" {
 		t.Fatal("identity lost")
 	}
 	for rank := 0; rank < 4; rank++ {
@@ -94,28 +94,8 @@ func TestMetricsAggregation(t *testing.T) {
 	}
 }
 
-func TestMetricsElapsed(t *testing.T) {
-	m := NewMetrics("x", 1)
-	if m.Elapsed() != 0 {
-		t.Fatal("elapsed before marks should be 0")
-	}
-	m.MarkStarted()
-	time.Sleep(5 * time.Millisecond)
-	m.MarkFinished()
-	if m.Elapsed() < 5*time.Millisecond {
-		t.Fatalf("elapsed = %v", m.Elapsed())
-	}
-	// First start wins.
-	first := m.Elapsed()
-	m.MarkStarted()
-	m.MarkFinished()
-	if m.Elapsed() < first {
-		t.Fatal("second MarkStarted reset the clock")
-	}
-}
-
 func TestMetricsConcurrent(t *testing.T) {
-	m := NewMetrics("x", 8)
+	m := NewMetrics("x")
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		wg.Add(1)
@@ -198,7 +178,7 @@ func TestRunMapEndToEnd(t *testing.T) {
 	}()
 
 	// Map stage: 3 ranks doubling.
-	metrics := NewMetrics("doubler", 3)
+	metrics := NewMetrics("doubler")
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -1,12 +1,5 @@
 package gromacs
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/adios"
-)
-
 // ConfigXML is the simulation's ADIOS configuration (§IV): the
 // two-dimensional coordinate variable, its dimension variables, the
 // static coordinate header, and the FLEXPATH method binding.
@@ -20,42 +13,3 @@ const ConfigXML = `
   </adios-group>
   <method group="trajectory" method="FLEXPATH" parameters="QUEUE_SIZE=2"/>
 </adios-config>`
-
-// writerGroup parses ConfigXML, renames the positions variable to the
-// run-time array name, and returns the declaration plus the method's
-// queue depth.
-// The embedded config is a compile-time constant, so it is parsed once
-// and shared; writerGroup hands out copies, never the cached groups.
-var (
-	cfgOnce sync.Once
-	cfgVal  *adios.Config
-	cfgErr  error
-)
-
-func parsedConfig() (*adios.Config, error) {
-	cfgOnce.Do(func() { cfgVal, cfgErr = adios.ParseConfig([]byte(ConfigXML)) })
-	return cfgVal, cfgErr
-}
-
-func writerGroup(array string) (*adios.Group, int, error) {
-	cfg, err := parsedConfig()
-	if err != nil {
-		return nil, 0, fmt.Errorf("gromacs: embedded config: %w", err)
-	}
-	g := cfg.Group("trajectory")
-	if g == nil {
-		return nil, 0, fmt.Errorf("gromacs: embedded config lacks group %q", "trajectory")
-	}
-	renamed := *g
-	renamed.Vars = append([]adios.VarDef(nil), g.Vars...)
-	for i := range renamed.Vars {
-		if renamed.Vars[i].Name == "positions" {
-			renamed.Vars[i].Name = array
-		}
-	}
-	depth := 0
-	if m := cfg.Method("trajectory"); m != nil {
-		depth = m.QueueDepth()
-	}
-	return &renamed, depth, nil
-}

@@ -14,13 +14,15 @@ func TestEmbeddedConfigParses(t *testing.T) {
 	if cfg.Group("trajectory") == nil {
 		t.Fatal("group missing")
 	}
-	if cfg.Method("trajectory").QueueDepth() != 2 {
+	if m := cfg.Method("trajectory"); m == nil || m.QueueDepth() != 2 {
 		t.Fatal("queue depth not declared")
 	}
 }
 
+// The writer opens its group through adios.EmbeddedGroup with the
+// array renamed to the configured name.
 func TestWriterGroupRenamesArray(t *testing.T) {
-	g, depth, err := writerGroup("mydata")
+	g, depth, err := adios.EmbeddedGroup(ConfigXML, "trajectory", "positions", "mydata")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +35,8 @@ func TestWriterGroupRenamesArray(t *testing.T) {
 	if g.Var("positions") != nil {
 		t.Fatal("original variable name still present")
 	}
-	// The original declaration is untouched (writerGroup copies).
-	g2, _, err := writerGroup("positions")
+	// The cached declaration is untouched (EmbeddedGroup copies).
+	g2, _, err := adios.EmbeddedGroup(ConfigXML, "trajectory", "positions", "positions")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,8 +98,6 @@ func (s *Sim) Name() string { return "gromacs" }
 // Run implements sb.Component: each rank owns a contiguous range of
 // atoms and publishes its (ownAtoms × 3) coordinate block per timestep.
 func (s *Sim) Run(env *sb.Env) error {
-	env.Metrics.MarkStarted()
-	defer env.Metrics.MarkFinished()
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	offset, count := ndarray.Partition1D(s.Atoms, size, rank)
 
@@ -121,9 +119,9 @@ func (s *Sim) Run(env *sb.Env) error {
 
 	var w *adios.Writer
 	if s.Stream != "-" {
-		group, depth, err := writerGroup(s.Array)
+		group, depth, err := adios.EmbeddedGroup(ConfigXML, "trajectory", "positions", s.Array)
 		if err != nil {
-			return err
+			return fmt.Errorf("gromacs: %w", err)
 		}
 		w, err = env.OpenWriterGroup(s.Stream, group, depth)
 		if err != nil {
@@ -150,14 +148,15 @@ func (s *Sim) Run(env *sb.Env) error {
 			s.integrate(pos, vel, count, rng, &scr)
 		}
 		if w != nil {
-			if err := w.BeginStep(); err != nil {
-				return err
-			}
-			if err := w.Write(s.Array, globalDims, box, pos); err != nil {
+			// A restarted run recomputes every step from its seed but
+			// publishes, and records, only the steps its resumed writer
+			// lacks.
+			published, err := sb.PublishStep(env.Ctx(), w, step, s.Array, globalDims, box, pos)
+			if err != nil {
 				return fmt.Errorf("gromacs: step %d: %w", step, err)
 			}
-			if err := w.EndStep(env.Ctx()); err != nil {
-				return fmt.Errorf("gromacs: step %d: %w", step, err)
+			if !published {
+				continue
 			}
 		}
 		env.Metrics.RecordStep(step, time.Since(begin), 0, int64(len(pos)*8))

@@ -108,8 +108,6 @@ func (s *Sim) Name() string { return "gtcp" }
 // Run implements sb.Component: each rank owns a contiguous band of
 // toroidal slices and publishes its (ownSlices × points × 7) block.
 func (s *Sim) Run(env *sb.Env) error {
-	env.Metrics.MarkStarted()
-	defer env.Metrics.MarkFinished()
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	if s.Slices < size {
 		// The toroidal halo ring needs every rank to own at least one
@@ -129,9 +127,9 @@ func (s *Sim) Run(env *sb.Env) error {
 
 	var w *adios.Writer
 	if s.Stream != "-" {
-		group, depth, err := writerGroup(s.Array)
+		group, depth, err := adios.EmbeddedGroup(ConfigXML, "toroid", "grid", s.Array)
 		if err != nil {
-			return err
+			return fmt.Errorf("gtcp: %w", err)
 		}
 		w, err = env.OpenWriterGroup(s.Stream, group, depth)
 		if err != nil {
@@ -171,14 +169,15 @@ func (s *Sim) Run(env *sb.Env) error {
 					}
 				}
 			}
-			if err := w.BeginStep(); err != nil {
-				return err
-			}
-			if err := w.Write(s.Array, globalDims, box, buf); err != nil {
+			// A restarted run recomputes every step from its seed but
+			// publishes, and records, only the steps its resumed writer
+			// lacks.
+			published, err := sb.PublishStep(env.Ctx(), w, step, s.Array, globalDims, box, buf)
+			if err != nil {
 				return fmt.Errorf("gtcp: step %d: %w", step, err)
 			}
-			if err := w.EndStep(env.Ctx()); err != nil {
-				return fmt.Errorf("gtcp: step %d: %w", step, err)
+			if !published {
+				continue
 			}
 		}
 		env.Metrics.RecordStep(step, time.Since(begin), 0, int64(len(buf)*8))

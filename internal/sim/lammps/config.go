@@ -1,12 +1,5 @@
 package lammps
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/adios"
-)
-
 // ConfigXML is the simulation's ADIOS configuration — the counterpart of
 // the "approximately 25-line XML file" each instrumented simulation
 // needs (§IV). It declares the dump's array variable, its dimension
@@ -22,44 +15,3 @@ const ConfigXML = `
   </adios-group>
   <method group="particles" method="FLEXPATH" parameters="QUEUE_SIZE=2"/>
 </adios-config>`
-
-// writerGroup parses ConfigXML and returns the group declaration with
-// its array variable renamed to the run-time array name, plus the
-// method's queue depth. Validation of every Write against this group is
-// what catches an instrumented simulation drifting from its declared
-// output contract.
-// The embedded config is a compile-time constant, so it is parsed once
-// and shared; writerGroup hands out copies, never the cached groups.
-var (
-	cfgOnce sync.Once
-	cfgVal  *adios.Config
-	cfgErr  error
-)
-
-func parsedConfig() (*adios.Config, error) {
-	cfgOnce.Do(func() { cfgVal, cfgErr = adios.ParseConfig([]byte(ConfigXML)) })
-	return cfgVal, cfgErr
-}
-
-func writerGroup(array string) (*adios.Group, int, error) {
-	cfg, err := parsedConfig()
-	if err != nil {
-		return nil, 0, fmt.Errorf("lammps: embedded config: %w", err)
-	}
-	g := cfg.Group("particles")
-	if g == nil {
-		return nil, 0, fmt.Errorf("lammps: embedded config lacks group %q", "particles")
-	}
-	renamed := *g
-	renamed.Vars = append([]adios.VarDef(nil), g.Vars...)
-	for i := range renamed.Vars {
-		if renamed.Vars[i].Name == "atoms" {
-			renamed.Vars[i].Name = array
-		}
-	}
-	depth := 0
-	if m := cfg.Method("particles"); m != nil {
-		depth = m.QueueDepth()
-	}
-	return &renamed, depth, nil
-}

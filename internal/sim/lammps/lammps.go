@@ -129,17 +129,15 @@ type state struct {
 // Run implements sb.Component: integrate, and publish one (particles×5)
 // timestep per coarse interval.
 func (s *Sim) Run(env *sb.Env) error {
-	env.Metrics.MarkStarted()
-	defer env.Metrics.MarkFinished()
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	offset, count := ndarray.Partition1D(s.Particles, size, rank)
 	st := s.initState(offset, count, rank)
 
 	var w *adios.Writer
 	if s.Stream != "-" {
-		group, depth, err := writerGroup(s.Array)
+		group, depth, err := adios.EmbeddedGroup(ConfigXML, "particles", "atoms", s.Array)
 		if err != nil {
-			return err
+			return fmt.Errorf("lammps: %w", err)
 		}
 		w, err = env.OpenWriterGroup(s.Stream, group, depth)
 		if err != nil {
@@ -179,14 +177,15 @@ func (s *Sim) Run(env *sb.Env) error {
 				row[3] = st.vy[i]
 				row[4] = st.vz[i]
 			}
-			if err := w.BeginStep(); err != nil {
-				return err
-			}
-			if err := w.Write(s.Array, globalDims, box, buf); err != nil {
+			// A restarted run recomputes every step from its seed but
+			// publishes, and records, only the steps its resumed writer
+			// lacks.
+			published, err := sb.PublishStep(env.Ctx(), w, step, s.Array, globalDims, box, buf)
+			if err != nil {
 				return fmt.Errorf("lammps: step %d: %w", step, err)
 			}
-			if err := w.EndStep(env.Ctx()); err != nil {
-				return fmt.Errorf("lammps: step %d: %w", step, err)
+			if !published {
+				continue
 			}
 		}
 		env.Metrics.RecordStep(step, time.Since(begin), 0, int64(len(buf)*8))

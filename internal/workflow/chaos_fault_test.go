@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -187,13 +189,15 @@ func TestChaosLaunchOrderPermutationsOverTCP(t *testing.T) {
 	}
 }
 
-// TestChaosResumeIsExactlyOnce restarts fork, step-sample and concat —
-// the components that carry their own step loop instead of RunMap's —
-// under seeded fault plans, and demands the per-step results of an
-// unfaulted run, with the component's metrics keyed to exactly the
-// input steps it processed. A restarted loop must resume at the
-// reader's step (not count from 0) and must not republish a step the
-// resumed writer already has.
+// TestChaosResumeIsExactlyOnce restarts the stages that carry their
+// own step loop instead of RunMap's — fork, step-sample, concat and
+// file-writer, and the producers gromacs, lammps and file-reader —
+// under seeded fault plans, and demands the outputs of an unfaulted run,
+// with the component's metrics keyed to exactly the steps it processed.
+// A restarted loop must resume at the reader's step (not count from 0)
+// and must not republish a step the resumed writer already has; a
+// restarted simulation recomputes its physics from the seed and records
+// each (step, rank) once.
 func TestChaosResumeIsExactlyOnce(t *testing.T) {
 	newStats := func(t *testing.T, stream string) *components.Stats {
 		c, err := components.NewStats([]string{stream, "data"})
@@ -202,65 +206,145 @@ func TestChaosResumeIsExactlyOnce(t *testing.T) {
 		}
 		return c.(*components.Stats)
 	}
+	results := func(ends ...*components.Stats) func() any {
+		return func() any {
+			out := make([][]components.StepStats, len(ends))
+			for i, st := range ends {
+				out[i] = st.Results()
+			}
+			return out
+		}
+	}
+	// persisted is a directory of step files holding the chaos
+	// producer's stream, written by an unfaulted file-writer run.
+	persisted := func(t *testing.T) string {
+		dir := t.TempDir()
+		runT(t, Spec{Name: "persist", Stages: []Stage{
+			{Instance: &chaosProducer{rows: 12, cols: 2, steps: 8, seed: 4242}, Procs: 2},
+			{Component: "file-writer", Args: []string{"chaos0.fp", "data", dir}, Procs: 2},
+		}})
+		return dir
+	}
+	publish := func(seed int64) fault.Plan {
+		return fault.Plan{Seed: seed, ErrRate: 0.1, Ops: map[fault.Op]bool{fault.OpPublish: true}}
+	}
+	stepMeta := fault.Plan{Seed: 3, ErrRate: 0.1, Ops: map[fault.Op]bool{fault.OpStepMeta: true}}
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	cases := []struct {
 		name, comp string
 		plan       fault.Plan
-		// build returns the stages after the producer and the endpoints
-		// whose results are compared.
-		build func(t *testing.T) ([]Stage, []*components.Stats)
-		// steps are the input steps comp must record metrics for.
+		// producer, when set, replaces the two-rank chaos producer that
+		// publishes chaos0.fp.
+		producer func(t *testing.T) Stage
+		// build returns the stages after the producer and a function
+		// collecting the outputs compared with the unfaulted run's.
+		build func(t *testing.T) ([]Stage, func() any)
+		// steps are the steps comp must record metrics for.
 		steps []int
+		// ranks, when set, is the number of samples each of those steps
+		// must hold: a producer records each (step, rank) exactly once.
+		ranks int
 	}{
 		{
 			// A failed publish on the second output after the first one
 			// published: the resumed first writer already has the step.
-			name: "fork", comp: "fork",
-			plan: fault.Plan{Seed: 3, ErrRate: 0.1, Ops: map[fault.Op]bool{fault.OpPublish: true}},
-			build: func(t *testing.T) ([]Stage, []*components.Stats) {
+			name: "fork", comp: "fork", plan: publish(3),
+			build: func(t *testing.T) ([]Stage, func() any) {
 				a, b := newStats(t, "fa.fp"), newStats(t, "fb.fp")
 				return []Stage{
 					{Component: "fork", Args: []string{"chaos0.fp", "data", "fa.fp", "fb.fp"}, Procs: 2},
 					{Instance: a, Procs: 1},
 					{Instance: b, Procs: 1},
-				}, []*components.Stats{a, b}
+				}, results(a, b)
 			},
-			steps: []int{0, 1, 2, 3, 4, 5, 6, 7},
+			steps: all,
 		},
 		{
 			// A failed step wait on an input step that is not a multiple
 			// of the stride: the stride must apply to absolute steps.
-			name: "step-sample", comp: "step-sample",
-			plan: fault.Plan{Seed: 3, ErrRate: 0.1, Ops: map[fault.Op]bool{fault.OpStepMeta: true}},
-			build: func(t *testing.T) ([]Stage, []*components.Stats) {
+			name: "step-sample", comp: "step-sample", plan: stepMeta,
+			build: func(t *testing.T) ([]Stage, func() any) {
 				st := newStats(t, "ss.fp")
 				return []Stage{
 					{Component: "step-sample", Args: []string{"chaos0.fp", "data", "3", "ss.fp", "data"}, Procs: 2},
 					{Instance: st, Procs: 1},
-				}, []*components.Stats{st}
+				}, results(st)
 			},
 			steps: []int{0, 3, 6},
 		},
 		{
-			name: "concat", comp: "concat",
-			plan: fault.Plan{Seed: 3, ErrRate: 0.1, Ops: map[fault.Op]bool{fault.OpStepMeta: true}},
-			build: func(t *testing.T) ([]Stage, []*components.Stats) {
+			name: "concat", comp: "concat", plan: stepMeta,
+			build: func(t *testing.T) ([]Stage, func() any) {
 				st := newStats(t, "cc.fp")
 				return []Stage{
 					{Component: "fork", Args: []string{"chaos0.fp", "data", "fa.fp", "fb.fp"}, Procs: 1},
 					{Component: "concat", Args: []string{"fa.fp", "data", "fb.fp", "data", "0", "cc.fp", "data"}, Procs: 2},
 					{Instance: st, Procs: 1},
-				}, []*components.Stats{st}
+				}, results(st)
 			},
-			steps: []int{0, 1, 2, 3, 4, 5, 6, 7},
+			steps: all,
+		},
+		{
+			// A restarted file-writer must name its files by the stream's
+			// step, not restart its numbering at 0.
+			name: "file-writer", comp: "file-writer", plan: stepMeta,
+			build: func(t *testing.T) ([]Stage, func() any) {
+				dir := t.TempDir()
+				return []Stage{
+					{Component: "file-writer", Args: []string{"chaos0.fp", "data", dir}, Procs: 2},
+				}, func() any { return readFiles(t, dir) }
+			},
+			steps: all,
+		},
+		{
+			name: "gromacs", comp: "gromacs", plan: publish(2),
+			producer: func(*testing.T) Stage {
+				return Stage{Component: "gromacs", Args: []string{"chaos0.fp", "data", "64", "8", "5"}, Procs: 2}
+			},
+			build: func(t *testing.T) ([]Stage, func() any) {
+				st := newStats(t, "mag.fp")
+				return []Stage{
+					{Component: "magnitude", Args: []string{"chaos0.fp", "data", "mag.fp", "data"}, Procs: 2},
+					{Instance: st, Procs: 1},
+				}, results(st)
+			},
+			steps: all, ranks: 2,
+		},
+		{
+			// The halo exchange couples lammps's ranks, so a restart of
+			// one is a restart of both.
+			name: "lammps", comp: "lammps", plan: publish(2),
+			producer: func(*testing.T) Stage {
+				return Stage{Component: "lammps", Args: []string{"chaos0.fp", "data", "60", "8", "5"}, Procs: 2}
+			},
+			build: func(t *testing.T) ([]Stage, func() any) {
+				st := newStats(t, "chaos0.fp")
+				return []Stage{{Instance: st, Procs: 1}}, results(st)
+			},
+			steps: all, ranks: 2,
+		},
+		{
+			name: "file-reader", comp: "file-reader", plan: publish(2),
+			producer: func(t *testing.T) Stage {
+				return Stage{Component: "file-reader", Args: []string{persisted(t), "chaos0.fp"}, Procs: 2}
+			},
+			build: func(t *testing.T) ([]Stage, func() any) {
+				st := newStats(t, "chaos0.fp")
+				return []Stage{{Instance: st, Procs: 1}}, results(st)
+			},
+			steps: all, ranks: 2,
 		},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			run := func(tr sb.Transport) (*Result, [][]components.StepStats) {
-				prod := &chaosProducer{rows: 12, cols: 2, steps: 8, seed: 4242}
-				stages, ends := c.build(t)
-				spec := Spec{Name: c.name, Stages: append([]Stage{{Instance: prod, Procs: 2}}, stages...)}
+			run := func(tr sb.Transport) (*Result, any) {
+				prod := Stage{Instance: &chaosProducer{rows: 12, cols: 2, steps: 8, seed: 4242}, Procs: 2}
+				if c.producer != nil {
+					prod = c.producer(t)
+				}
+				stages, collect := c.build(t)
+				spec := Spec{Name: c.name, Stages: append([]Stage{prod}, stages...)}
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				defer cancel()
 				res, err := Run(ctx, tr, spec, Options{
@@ -269,11 +353,7 @@ func TestChaosResumeIsExactlyOnce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run failed: %v\n%s", err, Report(res))
 				}
-				out := make([][]components.StepStats, len(ends))
-				for i, st := range ends {
-					out[i] = st.Results()
-				}
-				return res, out
+				return res, collect()
 			}
 			_, want := run(transport())
 			res, got := run(fault.New(transport(), c.plan))
@@ -286,19 +366,37 @@ func TestChaosResumeIsExactlyOnce(t *testing.T) {
 			if restarts == 0 {
 				t.Fatalf("plan never restarted %s — the test exercised nothing\n%s", c.comp, Report(res))
 			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("endpoint %d after %d restarts:\n got %+v\nwant %+v", i, restarts, got[i], want[i])
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("outputs after %d restarts of %s:\n got %+v\nwant %+v", restarts, c.comp, got, want)
 			}
-			m := res.Metrics(c.comp)
 			var keys []int
-			for _, s := range m.Steps() {
+			for _, s := range res.Metrics(c.comp).Steps() {
 				keys = append(keys, s.Step)
+				if c.ranks > 0 && s.Samples != c.ranks {
+					t.Fatalf("%s step %d holds %d metrics samples, want one per rank (%d)", c.comp, s.Step, s.Samples, c.ranks)
+				}
 			}
 			if !reflect.DeepEqual(keys, c.steps) {
 				t.Fatalf("%s metrics recorded steps %v, want %v", c.comp, keys, c.steps)
 			}
 		})
 	}
+}
+
+// readFiles returns the contents of every file in dir, by name.
+func readFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
 }

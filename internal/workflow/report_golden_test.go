@@ -40,7 +40,7 @@ func checkGolden(t *testing.T, name, got string) {
 
 // goldenMetrics builds a collector with fixed, deterministic samples.
 func goldenMetrics(name string, ranks, steps int) *sb.Metrics {
-	m := sb.NewMetrics(name, ranks)
+	m := sb.NewMetrics(name)
 	for s := 0; s < steps; s++ {
 		for r := 0; r < ranks; r++ {
 			m.RecordStep(s, time.Duration(s+1)*time.Millisecond, 4096, 2048)
@@ -96,7 +96,7 @@ func TestReportGoldenFailed(t *testing.T) {
 			{Stage: Stage{Component: "lammps", Procs: 2}, Metrics: goldenMetrics("lammps", 2, 1)},
 			{Stage: Stage{Component: "magnitude", Procs: 1}, Restarts: 2,
 				Err: errors.New("magnitude: step 1: fault: injected writer crash")},
-			{Stage: Stage{Component: "histogram", Procs: 1}, Metrics: sb.NewMetrics("histogram", 1)},
+			{Stage: Stage{Component: "histogram", Procs: 1}, Metrics: sb.NewMetrics("histogram")},
 		},
 	}
 	checkGolden(t, "report_failed.golden", Report(res))

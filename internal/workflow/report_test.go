@@ -11,7 +11,7 @@ import (
 )
 
 func TestReportRendersStages(t *testing.T) {
-	m := sb.NewMetrics("select", 2)
+	m := sb.NewMetrics("select")
 	m.RecordStep(0, 2*time.Millisecond, 4096, 2048)
 	m.RecordStep(0, 4*time.Millisecond, 4096, 2048)
 	m.RecordStep(1, 2*time.Millisecond, 1<<21, 1<<20)
@@ -21,7 +21,7 @@ func TestReportRendersStages(t *testing.T) {
 		Stages: []StageResult{
 			{Stage: Stage{Component: "select", Procs: 2}, Metrics: m},
 			{Stage: Stage{Component: "boom", Procs: 1}, Err: errors.New("kaput")},
-			{Stage: Stage{Component: "idle", Procs: 1}, Metrics: sb.NewMetrics("idle", 1)},
+			{Stage: Stage{Component: "idle", Procs: 1}, Metrics: sb.NewMetrics("idle")},
 		},
 	}
 	out := Report(res)

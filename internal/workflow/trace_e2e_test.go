@@ -30,14 +30,13 @@ import (
 //     consecutive sequence across restart epochs — no gap, no replay.
 //
 // Faults are injected only into reader-side operations (step-meta,
-// fetch) because the lammps driver integrates physics forward and is
-// not resume-aware; the restart machinery under test lives in the
-// supervised consumer stages.
+// fetch): the restart machinery under test is the supervised consumer
+// stages'. Producer restarts are TestChaosResumeIsExactlyOnce's.
 func TestTraceProvesPipelineGuarantees(t *testing.T) {
 	// Magnitude and histogram run single-rank: each extra reader rank
 	// adds fault draws per step, and at these error rates a consumer
 	// that restarts that often can stall the producer past its step
-	// timeout — and the lammps driver is not resume-aware.
+	// timeout.
 	const (
 		steps     = 8
 		simProcs  = 2

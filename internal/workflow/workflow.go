@@ -343,9 +343,9 @@ func Run(ctx context.Context, transport sb.Transport, spec Spec, opts Options) (
 			// A fused stage reports one collector per original component,
 			// not one for the composite — fusion must not change what
 			// comp.<name>.* series exist.
-			res.Stages[i].SubMetrics = f.BindMetrics(st.Procs, opts.Registry)
+			res.Stages[i].SubMetrics = f.BindMetrics(opts.Registry)
 		} else {
-			m := sb.NewMetrics(comp.Name(), st.Procs)
+			m := sb.NewMetrics(comp.Name())
 			m.BindRegistry(opts.Registry)
 			res.Stages[i].Metrics = m
 		}
@@ -464,7 +464,6 @@ func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport
 				}
 				sr.Stage.Procs = target
 				sr.Rescales++
-				sr.Metrics.SetRanks(target)
 				sr.ctl.setProcs(target)
 				opts.Registry.Counter("workflow.rescales").Inc()
 				if tr.Enabled() {
