@@ -61,8 +61,12 @@ conformance:
 build:
 	$(GO) build ./...
 
+# Static checks: go vet, and gofmt over every Go file in the tree
+# (the benchmark module included) — any unformatted file fails.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

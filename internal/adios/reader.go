@@ -14,12 +14,9 @@ type GlobalVar struct {
 	Name string
 	Dims []ndarray.Dim
 
-	blocks []blockRef
-}
-
-type blockRef struct {
-	writerRank int
-	box        ndarray.Box
+	// boxes[i] is the block writer rank ranks[i] holds.
+	boxes []ndarray.Box
+	ranks []int
 }
 
 // Shape returns the global extents.
@@ -143,7 +140,8 @@ func (r *Reader) BeginStep(ctx context.Context) (*StepInfo, error) {
 			if err := vm.Box.ValidIn(vm.GlobalShape()); err != nil {
 				return nil, fmt.Errorf("adios: variable %q block from rank %d: %w", vm.Name, rank, err)
 			}
-			gv.blocks = append(gv.blocks, blockRef{writerRank: rank, box: vm.Box})
+			gv.boxes = append(gv.boxes, vm.Box)
+			gv.ranks = append(gv.ranks, rank)
 		}
 		// Attributes must agree where they overlap; rank order wins ties
 		// deterministically (first writer to declare).
@@ -174,8 +172,10 @@ func dimsEqual(a, b []ndarray.Dim) bool {
 }
 
 // ReadBox assembles the requested bounding box of a variable from every
-// writer block that intersects it (the MxN redistribution). The returned
-// array's dimensions carry the variable's labels with the box's counts.
+// writer block that intersects it (the MxN redistribution), fetching
+// only those blocks. The returned array is a copy — it never aliases a
+// transport frame, so it stays valid past EndStep — whose dimensions
+// carry the variable's labels with the box's counts.
 func (r *Reader) ReadBox(ctx context.Context, varName string, box ndarray.Box) (*ndarray.Array, error) {
 	if !r.inStep {
 		return nil, fmt.Errorf("adios: ReadBox outside a step")
@@ -184,50 +184,11 @@ func (r *Reader) ReadBox(ctx context.Context, varName string, box ndarray.Box) (
 	if !ok {
 		return nil, fmt.Errorf("adios: step %d has no variable %q", r.info.Step, varName)
 	}
-	if err := box.ValidIn(gv.Shape()); err != nil {
+	out, err := ndarray.Assemble(gv.Dims, box, gv.boxes, func(i int) ([]float64, error) {
+		return r.blockValues(ctx, gv.ranks[i], varName)
+	})
+	if err != nil {
 		return nil, fmt.Errorf("adios: variable %q: %w", varName, err)
-	}
-	dims := make([]ndarray.Dim, len(gv.Dims))
-	for i, d := range gv.Dims {
-		dims[i] = ndarray.Dim{Name: d.Name, Size: box.Counts[i]}
-	}
-	out := ndarray.New(dims...)
-	if out.Size() == 0 {
-		return out, nil
-	}
-	covered := 0
-	for _, blk := range gv.blocks {
-		inter, ok := box.Intersect(blk.box)
-		if !ok {
-			continue
-		}
-		vals, err := r.blockValues(ctx, blk.writerRank, varName)
-		if err != nil {
-			return nil, err
-		}
-		blockDims := make([]ndarray.Dim, len(gv.Dims))
-		for i := range blockDims {
-			blockDims[i] = ndarray.Dim{Name: gv.Dims[i].Name, Size: blk.box.Counts[i]}
-		}
-		src, err := ndarray.FromData(vals, blockDims...)
-		if err != nil {
-			return nil, fmt.Errorf("adios: variable %q block from rank %d: %w", varName, blk.writerRank, err)
-		}
-		n := len(gv.Dims)
-		dstOff := make([]int, n)
-		srcOff := make([]int, n)
-		for i := 0; i < n; i++ {
-			dstOff[i] = inter.Offsets[i] - box.Offsets[i]
-			srcOff[i] = inter.Offsets[i] - blk.box.Offsets[i]
-		}
-		if err := ndarray.CopyRegion(out, dstOff, src, srcOff, inter.Counts); err != nil {
-			return nil, err
-		}
-		covered += inter.Volume()
-	}
-	if covered < box.Volume() {
-		return nil, fmt.Errorf("adios: variable %q: writer blocks cover only %d of %d requested elements",
-			varName, covered, box.Volume())
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package components
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -547,5 +548,58 @@ func TestFileReaderEmptyDir(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("file-reader on empty dir succeeded")
+	}
+}
+
+// TestFileReaderMissingRankFile: a step whose block files no longer
+// cover the array — here rank 1's file of step 1 is gone — is an error,
+// not a step republished with zeros where the lost block was.
+func TestFileReaderMissingRankFile(t *testing.T) {
+	const n, steps = 16, 3
+	dir := t.TempDir()
+	h := newHarness(t)
+	h.produce("in.fp", "x", 2, steps, func(step int) (*ndarray.Array, map[string]string) {
+		a := ndarray.New(ndarray.Dim{Name: "n", Size: n})
+		for i := range a.Data() {
+			a.Data()[i] = float64(step) + float64(i)
+		}
+		return a, nil
+	})
+	cw, err := New("file-writer", []string{"in.fp", "x", dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.runComponent(cw, 2)
+	h.wait()
+	if err := os.Remove(stepFilePath(dir, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	cr, err := New("file-reader", []string{dir, "replay.fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker := flexpath.NewBroker()
+	drained := make(chan struct{})
+	go func() { // drain whatever the reader publishes before it fails
+		defer close(drained)
+		r, err := broker.AttachReader("replay.fp", 0, 1)
+		if err != nil {
+			return
+		}
+		defer r.Close()
+		for s := 0; ; s++ {
+			if _, err := r.StepMeta(context.Background(), s); err != nil {
+				return
+			}
+			r.ReleaseStep(s)
+		}
+	}()
+	err = mpi.Run(1, func(comm *mpi.Comm) error {
+		return cr.Run(&sb.Env{Comm: comm, Transport: sb.Fabric{T: flexpath.InProc{B: broker}}})
+	})
+	<-drained
+	if err == nil || !strings.Contains(err.Error(), "step 1") || !strings.Contains(err.Error(), "cover") {
+		t.Fatalf("file-reader over a step missing rank 1's file: err = %v, want a step 1 coverage error", err)
 	}
 }

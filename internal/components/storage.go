@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -116,11 +117,12 @@ func NewFileReader(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (f *FileReader) Name() string { return "file-reader" }
 
-// Run implements sb.Component: every rank loads the union of the per-rank
-// block files for each step, assembles the global array, and republishes
-// its own partition — so the replaying group's size is independent of the
-// persisting group's. A restarted rank starts at the step its resumed
-// writer expects next.
+// Run implements sb.Component: every rank reads each step's block
+// files, assembles its own partition from the blocks that intersect it,
+// and republishes it — so the replaying group's size is independent of
+// the persisting group's. A step whose files do not cover a rank's
+// partition is an error. A restarted rank starts at the step its
+// resumed writer expects next.
 func (f *FileReader) Run(env *sb.Env) error {
 	steps, err := listStepFiles(f.Dir)
 	if err != nil {
@@ -134,20 +136,21 @@ func (f *FileReader) Run(env *sb.Env) error {
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	for step := w.Steps(); step < len(steps); step++ {
 		begin := time.Now()
-		global, varName, attrs, err := loadStep(steps[step])
+		st, err := loadStep(steps[step])
 		if err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
-		axis, err := sb.ChooseAxis(sb.PartitionFirstFree, global.Shape())
+		shape := st.v.GlobalShape()
+		axis, err := sb.ChooseAxis(sb.PartitionFirstFree, shape)
 		if err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
-		box := ndarray.PartitionAlong(global.Shape(), axis, size, rank)
-		block, err := global.CopyBox(box)
+		box := ndarray.PartitionAlong(shape, axis, size, rank)
+		block, err := ndarray.Assemble(st.v.GlobalDims, box, st.boxes, st.values)
 		if err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
-		if _, err := sb.PublishStep(env.Ctx(), w, step, varName, global.Dims(), box, block.Data(), attrs); err != nil {
+		if _, err := sb.PublishStep(env.Ctx(), w, step, st.v.Name, st.v.GlobalDims, box, block.Data(), st.attrs); err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
 		n := int64(block.Size() * 8)
@@ -221,52 +224,56 @@ func listStepFiles(dir string) ([][]string, error) {
 	return out, nil
 }
 
-// loadStep assembles one step's global array from its block files.
-func loadStep(files []string) (*ndarray.Array, string, map[string]string, error) {
-	var global *ndarray.Array
-	varName := ""
-	var attrs map[string]string
-	for _, path := range files {
+// storedStep is one step's block files, decoded as far as their
+// metadata: the variable and attributes of the first file, and each
+// file's box and still-encoded payload.
+type storedStep struct {
+	v        adios.VarMeta
+	attrs    map[string]string
+	files    []string
+	boxes    []ndarray.Box
+	payloads [][]byte
+}
+
+// loadStep reads one step's block files, checking that they all hold
+// the same variable with the same global layout.
+func loadStep(files []string) (*storedStep, error) {
+	st := &storedStep{files: files}
+	for i, path := range files {
 		metaBuf, payloadBuf, err := readStepFile(path)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, err
 		}
 		meta, err := adios.DecodeMeta(metaBuf)
 		if err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", path, err)
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		if len(meta.Vars) != 1 {
-			return nil, "", nil, fmt.Errorf("%s: expected 1 variable, found %d", path, len(meta.Vars))
+			return nil, fmt.Errorf("%s: expected 1 variable, found %d", path, len(meta.Vars))
 		}
 		vm := meta.Vars[0]
-		if global == nil {
-			global = ndarray.New(vm.GlobalDims...)
-			varName = vm.Name
-			attrs = meta.Attrs
-		} else if vm.Name != varName {
-			return nil, "", nil, fmt.Errorf("%s: variable %q differs from %q", path, vm.Name, varName)
+		if i == 0 {
+			st.v, st.attrs = vm, meta.Attrs
+		} else if vm.Name != st.v.Name || !slices.Equal(vm.GlobalDims, st.v.GlobalDims) {
+			return nil, fmt.Errorf("%s: variable %q %v differs from %q %v", path, vm.Name, vm.GlobalDims, st.v.Name, st.v.GlobalDims)
 		}
-		payload, err := adios.DecodePayload(payloadBuf)
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", path, err)
-		}
-		vals, ok := payload[vm.Name]
-		if !ok {
-			return nil, "", nil, fmt.Errorf("%s: payload lacks %q", path, vm.Name)
-		}
-		blockDims := make([]ndarray.Dim, len(vm.GlobalDims))
-		for i, d := range vm.GlobalDims {
-			blockDims[i] = ndarray.Dim{Name: d.Name, Size: vm.Box.Counts[i]}
-		}
-		block, err := ndarray.FromData(vals, blockDims...)
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if err := global.PasteBox(vm.Box, block); err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", path, err)
-		}
+		st.boxes = append(st.boxes, vm.Box)
+		st.payloads = append(st.payloads, payloadBuf)
 	}
-	return global, varName, attrs, nil
+	return st, nil
+}
+
+// values decodes block file i's values of the step's variable.
+func (st *storedStep) values(i int) ([]float64, error) {
+	payload, err := adios.DecodePayload(st.payloads[i])
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", st.files[i], err)
+	}
+	vals, ok := payload[st.v.Name]
+	if !ok {
+		return nil, fmt.Errorf("%s: payload lacks %q", st.files[i], st.v.Name)
+	}
+	return vals, nil
 }
 
 func init() {

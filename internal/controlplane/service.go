@@ -101,16 +101,16 @@ type StageStatus struct {
 // Metrics carries the submission's private obs registry snapshot, so
 // per-component step counters and restart counts update live.
 type Status struct {
-	ID        string        `json:"id"`
-	Tenant    string        `json:"tenant"`
-	Name      string        `json:"name"`
-	State     string        `json:"state"`
-	Submitted time.Time     `json:"submitted"`
-	Finished  time.Time     `json:"finished"`
-	Elapsed   time.Duration `json:"elapsed_ns,omitempty"`
-	Stages    []StageStatus `json:"stages,omitempty"`
+	ID        string           `json:"id"`
+	Tenant    string           `json:"tenant"`
+	Name      string           `json:"name"`
+	State     string           `json:"state"`
+	Submitted time.Time        `json:"submitted"`
+	Finished  time.Time        `json:"finished"`
+	Elapsed   time.Duration    `json:"elapsed_ns,omitempty"`
+	Stages    []StageStatus    `json:"stages,omitempty"`
 	Metrics   map[string]int64 `json:"metrics,omitempty"`
-	Err       string        `json:"err,omitempty"`
+	Err       string           `json:"err,omitempty"`
 }
 
 // Done reports whether the submission reached a terminal state.
@@ -157,18 +157,18 @@ type tenant struct {
 }
 
 type submission struct {
-	id       string
-	tenant   string
-	name     string
-	spec     workflow.Spec
-	state    string
+	id        string
+	tenant    string
+	name      string
+	spec      workflow.Spec
+	state     string
 	submitted time.Time
-	finished time.Time
-	elapsed  time.Duration
-	registry *obs.Registry
-	cancel   context.CancelFunc
-	result   *workflow.Result
-	err      error
+	finished  time.Time
+	elapsed   time.Duration
+	registry  *obs.Registry
+	cancel    context.CancelFunc
+	result    *workflow.Result
+	err       error
 }
 
 // Service is the control plane: a tenant registry, a submission table,

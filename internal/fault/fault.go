@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/adios"
+	"repro/internal/pool"
 	"repro/internal/sb"
 )
 
@@ -191,7 +192,11 @@ func (t *Transport) AttachWriter(stream string, rank, size, depth int) (adios.Bl
 	if err != nil {
 		return nil, err
 	}
-	return &faultWriter{t: t, inner: bw, rng: rng, stream: stream, rank: rank}, nil
+	fw := &faultWriter{t: t, inner: bw, rng: rng, stream: stream, rank: rank}
+	if _, ok := bw.(adios.RefBlockWriter); ok {
+		return refFaultWriter{fw}, nil
+	}
+	return fw, nil
 }
 
 // AttachReader implements sb.Transport.
@@ -218,6 +223,15 @@ type faultWriter struct {
 }
 
 func (w *faultWriter) PublishBlock(ctx context.Context, step int, meta, payload []byte) error {
+	if err := w.fault(step); err != nil {
+		return err
+	}
+	return w.inner.PublishBlock(ctx, step, meta, payload)
+}
+
+// fault fires the scheduled crash or an injected publish error, if
+// either is due for this publish of step.
+func (w *faultWriter) fault(step int) error {
 	if cp := w.t.Plan.Crash; cp != nil && cp.Stream == w.stream && cp.Rank == w.rank && step >= cp.Step {
 		// The scheduled kill: fail the stream at the broker (so peers and
 		// readers see ErrWriterLost) and report a terminal error upward.
@@ -228,10 +242,23 @@ func (w *faultWriter) PublishBlock(ctx context.Context, step int, meta, payload 
 		}
 		return fmt.Errorf("%w: stream %q writer rank %d at step %d", ErrCrashed, w.stream, w.rank, step)
 	}
-	if err := w.t.inject(w.rng, OpPublish, w.stream, w.rank); err != nil {
+	return w.t.inject(w.rng, OpPublish, w.stream, w.rank)
+}
+
+// refFaultWriter is a faultWriter over a handle with the zero-copy
+// publish capability (adios.RefBlockWriter), which it forwards, so a
+// faulted run publishes through the same pooled path as production.
+type refFaultWriter struct{ *faultWriter }
+
+// PublishBlockRef consumes both references like the inner handle's: a
+// publish that a fault stops releases them here.
+func (w refFaultWriter) PublishBlockRef(ctx context.Context, step int, meta, payload *pool.Buf) error {
+	if err := w.fault(step); err != nil {
+		meta.Release()
+		payload.Release()
 		return err
 	}
-	return w.inner.PublishBlock(ctx, step, meta, payload)
+	return w.inner.(adios.RefBlockWriter).PublishBlockRef(ctx, step, meta, payload)
 }
 
 func (w *faultWriter) Close() error { return w.inner.Close() }

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adios"
 	"repro/internal/flexpath"
+	"repro/internal/pool"
 	"repro/internal/sb"
 )
 
@@ -223,5 +225,61 @@ func TestLatencyInjection(t *testing.T) {
 	}
 	if time.Since(start) == 0 {
 		t.Fatal("latency injection added no time")
+	}
+}
+
+// TestPublishBlockRefForwarded: a fault-wrapped writer over a pooling
+// transport keeps the zero-copy publish, so a clean publish recycles its
+// pooled buffers when the step retires; a publish that an injected error
+// or the scheduled crash stops releases both references.
+func TestPublishBlockRefForwarded(t *testing.T) {
+	ctx := ctxT(t)
+	broker := flexpath.NewBroker()
+	tr := New(sb.Fabric{T: flexpath.InProc{B: broker}}, Plan{Seed: 1})
+	w, err := tr.AttachWriter("ref.fp", 0, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, ok := w.(adios.RefBlockWriter)
+	if !ok {
+		t.Fatalf("fault-wrapped in-process writer %T lacks PublishBlockRef", w)
+	}
+	r, err := broker.AttachReader("ref.fp", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	_, _, before := pool.StatsSnapshot()
+	if err := rw.PublishBlockRef(ctx, 0, pool.Get(64), pool.Get(64)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.StepMeta(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ReleaseStep(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, after := pool.StatsSnapshot(); after-before < 2 {
+		t.Fatalf("retiring the step recycled %d pooled buffers, want 2", after-before)
+	}
+
+	for _, plan := range []Plan{
+		{Seed: 1, ErrRate: 1, Ops: map[Op]bool{OpPublish: true}},
+		{Seed: 1, Crash: &CrashPoint{Stream: "stop.fp", Rank: 0, Step: 0}},
+	} {
+		w, err := New(sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}, plan).AttachWriter("stop.fp", 0, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freed := 0
+		buf := func() *pool.Buf { return pool.WrapOnFree([]byte("x"), func() { freed++ }) }
+		err = w.(adios.RefBlockWriter).PublishBlockRef(ctx, 0, buf(), buf())
+		if !errors.Is(err, ErrInjected) && !errors.Is(err, ErrCrashed) {
+			t.Fatalf("publish under %+v = %v, want an injected failure", plan, err)
+		}
+		if freed != 2 {
+			t.Fatalf("failed publish under %+v freed %d of its 2 buffers", plan, freed)
+		}
+		w.Close()
 	}
 }

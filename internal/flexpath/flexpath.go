@@ -207,16 +207,16 @@ type Broker struct {
 // op (metrics on) per event — never a map lookup.
 type brokerObs struct {
 	tracer      *obs.Tracer
-	reg         *obs.Registry // kept for log metrics registered at AttachLog
-	steps       *obs.Counter  // timesteps fully published
-	retired     *obs.Counter  // timesteps retired (storage recycled)
-	blocks      *obs.Counter  // FetchBlock calls served
-	bytesPub    *obs.Counter  // meta+payload bytes accepted
-	bytesFetch  *obs.Counter  // payload bytes served
-	hbMisses    *obs.Counter  // writer lease expiries (TCP server only)
-	logReplayed *obs.Counter  // historical steps served from the log
-	logDegraded *obs.Counter  // streams degraded to memory-only by a log error
-	queuedSteps *obs.Gauge    // buffered, unretired timesteps, all streams
+	reg         *obs.Registry         // kept for log metrics registered at AttachLog
+	steps       *obs.Counter          // timesteps fully published
+	retired     *obs.Counter          // timesteps retired (storage recycled)
+	blocks      *obs.Counter          // FetchBlock calls served
+	bytesPub    *obs.Counter          // meta+payload bytes accepted
+	bytesFetch  *obs.Counter          // payload bytes served
+	hbMisses    *obs.Counter          // writer lease expiries (TCP server only)
+	logReplayed *obs.Counter          // historical steps served from the log
+	logDegraded *obs.Counter          // streams degraded to memory-only by a log error
+	queuedSteps *obs.Gauge            // buffered, unretired timesteps, all streams
 	tenant      map[string]*tenantObs // tenant-tagged counters, lazily cached
 }
 

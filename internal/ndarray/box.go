@@ -138,8 +138,8 @@ func (a *Array) CopyBox(b Box) (*Array, error) {
 	for i, d := range a.dims {
 		dims[i] = Dim{Name: d.Name, Size: b.Counts[i]}
 	}
-	out := New(dims...)
-	copyBoxed(out.data, a.data, shape, b, true)
+	out := &Array{dims: dims, data: make([]float64, b.Volume())}
+	copyRegion(out.data, b.Counts, make([]int, len(shape)), a.data, shape, b.Offsets, b.Counts)
 	return out, nil
 }
 
@@ -156,55 +156,8 @@ func (a *Array) PasteBox(b Box, src *Array) error {
 				src.dims[i].Size, c, i)
 		}
 	}
-	copyBoxed(src.data, a.data, shape, b, false)
+	copyRegion(a.data, shape, b.Offsets, src.data, b.Counts, make([]int, len(shape)), b.Counts)
 	return nil
-}
-
-// copyBoxed moves elements between the flat buffer of a full array with
-// the given shape and the flat row-major buffer of the box region.
-// extract=true copies array→boxBuf; false copies boxBuf→array. The
-// innermost dimension is moved with copy for throughput.
-func copyBoxed(boxBuf, arr []float64, shape []int, b Box, extract bool) {
-	n := len(shape)
-	if n == 0 {
-		if extract {
-			boxBuf[0] = arr[0]
-		} else {
-			arr[0] = boxBuf[0]
-		}
-		return
-	}
-	if b.Volume() == 0 {
-		return
-	}
-	strides := StridesOf(shape)
-	// Iterate over all outer dimensions; copy contiguous runs of the last.
-	outer := 1
-	for i := 0; i < n-1; i++ {
-		outer *= b.Counts[i]
-	}
-	last := b.Counts[n-1]
-	idx := make([]int, n-1)
-	boxPos := 0
-	for o := 0; o < outer; o++ {
-		arrPos := b.Offsets[n-1] * strides[n-1]
-		for i := 0; i < n-1; i++ {
-			arrPos += (b.Offsets[i] + idx[i]) * strides[i]
-		}
-		if extract {
-			copy(boxBuf[boxPos:boxPos+last], arr[arrPos:arrPos+last])
-		} else {
-			copy(arr[arrPos:arrPos+last], boxBuf[boxPos:boxPos+last])
-		}
-		boxPos += last
-		for i := n - 2; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < b.Counts[i] {
-				break
-			}
-			idx[i] = 0
-		}
-	}
 }
 
 // Partition1D splits the half-open range [0,total) into nparts contiguous

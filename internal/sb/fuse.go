@@ -1,7 +1,6 @@
 package sb
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/adios"
-	"repro/internal/flexpath"
 	"repro/internal/mpi"
 	"repro/internal/ndarray"
 	"repro/internal/obs"
@@ -147,10 +145,8 @@ func (f *Fused) StageMetrics() []*Metrics { return f.metrics }
 
 // Run implements Component: the fused per-rank loop. One reader, one
 // writer, and for every timestep the kernels run back-to-back — each
-// handing its output block to the next either in place (when the next
-// kernel's partition is exactly this rank's block, the common case) or
-// through a flexpath.Direct exchange (when the downstream kernel
-// partitions along a different axis), never through the broker.
+// handing its output block to the next over the stage's communicator
+// (see handoff), never through the broker.
 func (f *Fused) Run(env *Env) error {
 	f.ensureMetrics(env.Registry)
 	return runChain(env, f.name, f.parts, f.metrics)
@@ -174,25 +170,6 @@ func runChain(env *Env, name string, parts []FusedPart, metrics []*Metrics) erro
 	}
 	defer w.Close()
 
-	// One Direct exchange per interior edge, shared by all ranks of this
-	// attempt: rank 0 creates them and broadcasts the pointers, so a
-	// supervised restart (a fresh Run on every rank) starts from clean
-	// exchanges instead of a half-published step. A one-part chain has
-	// no interior edge and so no collective here.
-	var exchanges []*flexpath.Direct
-	if len(parts) > 1 && env.Comm.Size() > 1 {
-		if env.Comm.Rank() == 0 {
-			exchanges = make([]*flexpath.Direct, len(parts)-1)
-			for i := range exchanges {
-				exchanges[i] = flexpath.NewDirect(env.Comm.Size())
-			}
-		}
-		exchanges, err = mpi.Bcast(env.Comm, exchanges, 0)
-		if err != nil {
-			return fmt.Errorf("%s: sharing fused exchanges: %w", name, err)
-		}
-	}
-
 	for {
 		// Step boundary: the elastic-rescale supervisor interrupts here,
 		// after the previous step fully settled and before any work on the
@@ -206,7 +183,7 @@ func runChain(env *Env, name string, parts []FusedPart, metrics []*Metrics) erro
 			}
 		}
 		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
-		eof, err := runChainStep(env, name, parts, metrics, r, w, exchanges, step)
+		eof, err := runChainStep(env, name, parts, metrics, r, w, step)
 		if eof {
 			if env.Logf != nil {
 				env.Logf("%s rank %d: input stream %q ended after %d steps", name, env.Comm.Rank(), first.InStream, step)
@@ -234,7 +211,7 @@ func runChain(env *Env, name string, parts []FusedPart, metrics []*Metrics) erro
 // input release, so its span and its active time include it. Active
 // time excludes waiting for the producer.
 func runChainStep(env *Env, name string, parts []FusedPart, metrics []*Metrics,
-	r *adios.Reader, w *adios.Writer, exchanges []*flexpath.Direct, step int) (eof bool, err error) {
+	r *adios.Reader, w *adios.Writer, step int) (eof bool, err error) {
 	rank := env.Comm.Rank()
 	tr := env.Tracer
 	lastPart := len(parts) - 1
@@ -270,7 +247,7 @@ func runChainStep(env *Env, name string, parts []FusedPart, metrics []*Metrics,
 			}
 		} else {
 			info = handoffInfo(&parts[k-1].Cfg, info, out, step)
-			in, err = handoff(env, cfg, part.Kernel, exchanges, ctx, info, out, step, k)
+			in, err = handoff(env, cfg, part.Kernel, info, out, step)
 		}
 		var bytesIn, bytesOut int64
 		if err == nil {
@@ -311,59 +288,60 @@ func runChainStep(env *Env, name string, parts []FusedPart, metrics []*Metrics,
 	return false, nil
 }
 
+// handoffBlock is one rank's kernel output as the fused handoff
+// gathers it: the step it belongs to, its box in the (virtual) global
+// array, and its row-major data.
+type handoffBlock struct {
+	step int
+	box  ndarray.Box
+	data []float64
+}
+
 // handoff turns the previous kernel's output into the next kernel's
 // input. The next kernel partitions the (virtual) global array exactly
-// as it would have partitioned the stream: when its box is this rank's
-// own output block the data is used in place; otherwise the ranks
-// exchange blocks through the edge's Direct and each assembles its box.
-// Every rank takes the same path per step — publish/await/release is
-// collective — so a partition disagreement can never deadlock the
-// exchange.
-func handoff(env *Env, cfg MapConfig, kernel MapKernel, exchanges []*flexpath.Direct,
-	ctx context.Context, info *adios.StepInfo, prev *StepOutput, step, k int) (*StepInput, error) {
-	rank, size := env.Comm.Rank(), env.Comm.Size()
+// as it would have partitioned the stream. Every rank gathers every
+// rank's output block over the stage's communicator; when one of them
+// is exactly this rank's box it is used in place, otherwise the rank
+// assembles its box from the blocks. The gather is collective and
+// carries no state between steps, so a restarted attempt resumes at any
+// step, and a rank that fails aborts its peers' gather with it.
+func handoff(env *Env, cfg MapConfig, kernel MapKernel, info *adios.StepInfo, prev *StepOutput, step int) (*StepInput, error) {
 	v := info.Vars[0]
-	box, err := partitionFor(kernel, cfg.Policy, v, info, size, rank)
+	box, err := partitionFor(kernel, cfg.Policy, v, info, env.Comm.Size(), env.Comm.Rank())
 	if err != nil {
 		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 	}
-	var block *ndarray.Array
-	if size == 1 {
-		if !box.Equal(prev.Box) {
-			return nil, fmt.Errorf("%s: step %d: fused handoff box %v does not cover output %v",
-				cfg.Name, step, box, prev.Box)
-		}
-		block, err = blockView(prev, box)
-	} else {
-		ex := exchanges[k-1]
-		if perr := ex.Publish(ctx, step, rank, flexpath.DirectBlock{
-			Dims: prev.GlobalDims, Box: prev.Box, Data: prev.Data,
-		}); perr != nil {
-			return nil, fmt.Errorf("%s: step %d: fused exchange: %w", cfg.Name, step, perr)
-		}
-		blocks, aerr := ex.Await(ctx, step)
-		if aerr != nil {
-			return nil, fmt.Errorf("%s: step %d: fused exchange: %w", cfg.Name, step, aerr)
-		}
-		block, err = flexpath.AssembleBox(blocks, box)
-		if rerr := ex.Release(step); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
+	blocks, err := mpi.Allgather(env.Comm, handoffBlock{step: step, box: prev.Box, data: prev.Data})
 	if err != nil {
-		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
+		return nil, fmt.Errorf("%s: step %d: fused handoff: %w", cfg.Name, step, err)
+	}
+	block, err := assembleHandoff(v.Dims, box, blocks, step)
+	if err != nil {
+		return nil, fmt.Errorf("%s: step %d: fused handoff: %w", cfg.Name, step, err)
 	}
 	return &StepInput{Info: info, Var: v, Box: box, Block: block, Env: env}, nil
 }
 
-// blockView wraps a kernel output as the ndarray block the next kernel
-// reads — sharing the data, labeling the axes with the global names.
-func blockView(out *StepOutput, box ndarray.Box) (*ndarray.Array, error) {
-	dims := make([]ndarray.Dim, len(out.GlobalDims))
-	for i := range out.GlobalDims {
-		dims[i] = ndarray.Dim{Name: out.GlobalDims[i].Name, Size: box.Counts[i]}
+// assembleHandoff builds box from the gathered blocks of one step:
+// a block that is exactly box is shared, not copied.
+func assembleHandoff(dims []ndarray.Dim, box ndarray.Box, blocks []handoffBlock, step int) (*ndarray.Array, error) {
+	boxes := make([]ndarray.Box, len(blocks))
+	for i, b := range blocks {
+		if b.step != step {
+			return nil, fmt.Errorf("rank %d handed off step %d", i, b.step)
+		}
+		boxes[i] = b.box
 	}
-	return ndarray.FromData(out.Data, dims...)
+	for _, b := range blocks {
+		if b.box.Equal(box) {
+			shared := make([]ndarray.Dim, len(dims))
+			for i, d := range dims {
+				shared[i] = ndarray.Dim{Name: d.Name, Size: box.Counts[i]}
+			}
+			return ndarray.FromData(b.data, shared...)
+		}
+	}
+	return ndarray.Assemble(dims, box, boxes, func(i int) ([]float64, error) { return blocks[i].data, nil })
 }
 
 // handoffInfo builds the virtual step metadata the next kernel sees:

@@ -1,10 +1,12 @@
 package sb
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/adios"
+	"repro/internal/ndarray"
 )
 
 // fuseFake is a minimal Fusable map component for constructor tests.
@@ -112,5 +114,42 @@ func TestFusedBindMetrics(t *testing.T) {
 	}
 	if sm := f.StageMetrics(); len(sm) != 2 || sm[0] != ms[0] {
 		t.Fatal("StageMetrics disagrees with BindMetrics")
+	}
+}
+
+// TestAssembleBoxZeroCopy: when one gathered block is exactly this
+// rank's box, the fused handoff aliases its data — the aligned fused
+// edge moves no bytes. Otherwise the box is assembled from the blocks,
+// and blocks from another step are an error, never a mix of steps.
+func TestAssembleBoxZeroCopy(t *testing.T) {
+	dims := []ndarray.Dim{{Name: "x", Size: 8}}
+	gathered := func() []handoffBlock {
+		return []handoffBlock{
+			{step: 3, box: ndarray.Box{Offsets: []int{0}, Counts: []int{4}}, data: []float64{1, 2, 3, 4}},
+			{step: 3, box: ndarray.Box{Offsets: []int{4}, Counts: []int{4}}, data: []float64{5, 6, 7, 8}},
+		}
+	}
+	blocks := gathered()
+	arr, err := assembleHandoff(dims, ndarray.Box{Offsets: []int{4}, Counts: []int{4}}, blocks, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks[1].data[0] = 99
+	if arr.Data()[0] != 99 {
+		t.Fatal("aligned handoff copied instead of aliasing")
+	}
+
+	arr, err = assembleHandoff(dims, ndarray.Box{Offsets: []int{2}, Counts: []int{4}}, gathered(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := arr.Data(); !reflect.DeepEqual(got, []float64{3, 4, 5, 6}) {
+		t.Fatalf("cross-partition handoff = %v", got)
+	}
+
+	blocks = gathered()
+	blocks[1].step = 4
+	if _, err := assembleHandoff(dims, ndarray.Box{Offsets: []int{0}, Counts: []int{4}}, blocks, 3); err == nil {
+		t.Fatal("handoff mixed blocks of steps 3 and 4")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -399,4 +400,59 @@ func readFiles(t *testing.T, dir string) map[string]string {
 		out[e.Name()] = string(data)
 	}
 	return out
+}
+
+// TestChaosFusedExchangeRestart restarts a multi-rank fused stage
+// mid-stream. The GTCP chain select+dim-reduce+dim-reduce fuses into one
+// two-rank stage whose dr1→dr2 handoff is partition-misaligned, so every
+// step the ranks exchange blocks. Under reader and publish faults the
+// stage restarts at whatever step its reader resumes at, and the
+// histogram must equal an unfaulted run's, every step once.
+func TestChaosFusedExchangeRestart(t *testing.T) {
+	const steps = 4
+	spec := func(hist *components.Histogram) Spec {
+		return Spec{
+			Name: "gtcp-fused-chaos",
+			Stages: []Stage{
+				{Component: "gtcp", Args: []string{"gtcp.fp", "grid", "8", "32", fmt.Sprint(steps)}, Procs: 2},
+				{Component: "select", Args: []string{"gtcp.fp", "grid", "2", "psel.fp", "press", "pressure_perp"}, Procs: 2},
+				{Component: "dim-reduce", Args: []string{"psel.fp", "press", "2", "1", "dr1.fp", "press2"}, Procs: 2},
+				{Component: "dim-reduce", Args: []string{"dr1.fp", "press2", "0", "1", "flat.fp", "pressures"}, Procs: 2},
+				{Instance: hist, Procs: 1},
+			},
+		}
+	}
+	want := newHistT(t, "flat.fp", "pressures", "12")
+	runT(t, fuseSpecT(t, spec(want)).Spec)
+
+	got := newHistT(t, "flat.fp", "pressures", "12")
+	fused := fuseSpecT(t, spec(got))
+	if strings.Join(fused.Groups[0].Parts, "+") != "select+dim-reduce+dim-reduce" {
+		t.Fatalf("fused groups = %+v", fused.Groups)
+	}
+	ft := fault.New(transport(), fault.Plan{
+		Seed:    20261018,
+		ErrRate: 0.15,
+		Ops:     map[fault.Op]bool{fault.OpStepMeta: true, fault.OpFetchBlock: true, fault.OpPublish: true},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res, err := Run(ctx, ft, fused.Spec, Options{
+		Restart: RestartPolicy{MaxRestarts: 100, Backoff: time.Millisecond, StepTimeout: 5 * time.Second},
+	})
+	if err != nil {
+		t.Fatalf("fused run failed despite supervision: %v\n%s", err, Report(res))
+	}
+	restarts := 0
+	for _, sr := range res.Stages {
+		if sr.Component != nil && sr.Component.Name() == "select+dim-reduce+dim-reduce" {
+			restarts = sr.Restarts
+		}
+	}
+	if restarts == 0 {
+		t.Fatalf("the fused stage never restarted; raise ErrRate or change the seed\n%s", Report(res))
+	}
+	if a, b := want.Results(), got.Results(); len(a) != steps || !reflect.DeepEqual(a, b) {
+		t.Fatalf("faulted fused run diverged:\nunfaulted: %+v\nfaulted:   %+v", a, b)
+	}
 }

@@ -103,8 +103,9 @@ func TestFusionEquivalenceLAMMPS(t *testing.T) {
 // TestFusionEquivalenceGTCP fuses a three-part chain
 // (select+dim-reduce+dim-reduce) whose dr1→dr2 handoff is partition-
 // misaligned at 2 ranks (dim-reduce reserves the axis the previous
-// stage partitioned), so the interior Direct exchange path — not just
-// the in-place fast path — is what's proven byte-identical here.
+// stage partitioned), so the ranks' box assembly from the gathered
+// blocks — not just the in-place fast path — is what's proven
+// byte-identical here.
 func TestFusionEquivalenceGTCP(t *testing.T) {
 	gtcpSpec := func(hist *components.Histogram) Spec {
 		return Spec{
@@ -243,9 +244,9 @@ func TestFusedStageRestart(t *testing.T) {
 		Name: "fused-faults",
 		Stages: []Stage{
 			{Instance: hist, Procs: 1},
-			// Single-rank chain: restarting a multi-rank stage after one
-			// rank sealed its writer slot is not restartable (see
-			// trace_e2e_test.go), and fault injection makes that easy to hit.
+			// Single-rank chain, so every handoff is in place;
+			// TestChaosFusedExchangeRestart restarts a two-rank chain
+			// whose ranks exchange blocks.
 			{Component: "magnitude", Args: []string{"sel.fp", "lmpsel", "velos.fp", "velocities"}, Procs: 1},
 			{Component: "select", Args: []string{"dump.fp", "atoms", "1", "sel.fp", "lmpsel", "vx", "vy", "vz"}, Procs: 1},
 			{Component: "lammps", Args: []string{"dump.fp", "atoms", "200", "8", "7"}, Procs: 2},
